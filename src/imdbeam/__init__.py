@@ -10,11 +10,10 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .array import (
     ArrayGeometry,
-    ArraySignal,
     DistortionDirections,
     Pattern,
     SteeringAssignment,
@@ -55,6 +54,7 @@ from .nonlinearity import (
 )
 from .spectra import (
     PRUNE_THRESHOLD,
+    ArraySignal,
     FrequencyGrid,
     LineSpectrum,
     SampledWaveform,

@@ -14,11 +14,19 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import DegenerateFrequencyPlanError, GridMismatchError, GridRangeError, MissingLineError
+from .errors import DegenerateFrequencyPlanError, GridRangeError, MissingLineError
 from .nonlinearity import BandDefinition, PolynomialNonlinearity, apply_polynomial, band_filter
-from .spectra import TWO_PI, FrequencyGrid, LineSpectrum
+from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum
 
 DEFAULT_SWEEP_POINTS = 1024
+
+
+def steering(num_antennas: int, phase_step) -> np.ndarray:
+    """Far-field steering phasors ``exp(-1j * m * phase_step)``, one row per
+    antenna ``m``; ``phase_step`` is ``omega * tau`` in radians, a scalar or
+    a vector (then one column per entry)."""
+    phasors = -1j * np.multiply.outer(np.arange(num_antennas), phase_step)
+    return np.exp(phasors, out=phasors)
 
 
 def _coherence_tolerance(num_antennas: int, omega: float, step: float) -> float:
@@ -82,6 +90,8 @@ class SteeringAssignment:
             raise ValueError("amplitudes and phase rows must match tone_indices")
         if self.targets is not None and len(self.targets) != k:
             raise ValueError("targets must match tone_indices")
+        if any(k < 1 for k in self.tone_indices):
+            raise ValueError("tone indices must be positive")
         for row in self.phases:
             if not all(np.isfinite(row)):
                 raise ValueError("phases must be finite")
@@ -95,6 +105,15 @@ class SteeringAssignment:
         return LineSpectrum.from_real_tones(
             self.grid,
             [(k, a, p) for k, a, p in zip(self.tone_indices, self.amplitudes, row)],
+        )
+
+    def input_signal(self) -> ArraySignal:
+        """Multi-tone inputs of all antennas' devices: row ``m`` is
+        :meth:`antenna_spectrum` of antenna ``m``."""
+        return ArraySignal.from_phasors(
+            self.grid,
+            self.tone_indices,
+            0.5 * np.array(self.amplitudes) * np.exp(1j * np.array(self.phases)),
         )
 
 
@@ -130,47 +149,6 @@ def steer_tones(
     return SteeringAssignment(grid, geometry, tone_indices, amps, phases, taus)
 
 
-@dataclass(frozen=True)
-class ArraySignal:
-    """One line spectrum per antenna on a common grid."""
-
-    per_antenna: tuple[LineSpectrum, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_antenna", tuple(self.per_antenna))
-        if not self.per_antenna:
-            raise ValueError("need at least one antenna spectrum")
-        grid = self.per_antenna[0].grid
-        if any(s.grid != grid for s in self.per_antenna):
-            raise GridMismatchError("antenna spectra must share one grid")
-
-    @property
-    def grid(self) -> FrequencyGrid:
-        return self.per_antenna[0].grid
-
-    @property
-    def num_antennas(self) -> int:
-        return len(self.per_antenna)
-
-    def coefficients(self, index: int) -> np.ndarray:
-        """Per-antenna complex coefficient of the line at ``index``."""
-        return np.array([s.coefficient(index) for s in self.per_antenna])
-
-    def has_line(self, index: int) -> bool:
-        return any(s.coefficient(index) != 0 for s in self.per_antenna)
-
-    def line_indices(self) -> tuple[int, ...]:
-        """Sorted union of non-negative line indices across antennas."""
-        present: set[int] = set()
-        for s in self.per_antenna:
-            present.update(s.indices())
-        return tuple(sorted(present))
-
-    def port_line_power_total(self, index: int) -> float:
-        """Sum over antennas of the per-port power of the line."""
-        return float(sum(s.line_power(index) for s in self.per_antenna))
-
-
 def transmit(
     assignment: SteeringAssignment,
     f: PolynomialNonlinearity,
@@ -179,11 +157,7 @@ def transmit(
     """Drive every antenna with its steered multi-tone input, apply the
     polynomial device, and band-filter what the chain radiates.  Device
     characteristics are identical on all antennas."""
-    specs = []
-    for m in range(assignment.geometry.num_antennas):
-        y = apply_polynomial(assignment.antenna_spectrum(m), f)
-        specs.append(band_filter(y, band))
-    return ArraySignal(tuple(specs))
+    return band_filter(apply_polynomial(assignment.input_signal(), f), band)
 
 
 def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
@@ -193,14 +167,10 @@ def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     loss and the absolute propagation delay are normalized out; only relative
     inter-element phase matters.
     """
-    grid = signal.grid
-    acc: dict[int, complex] = {}
-    for m, spec in enumerate(signal.per_antenna):
-        for k, c in spec.items():
-            if k < 0:
-                continue
-            acc[k] = acc.get(k, 0j) + c * np.exp(-1j * m * grid.omega(k) * tau_rx)
-    return LineSpectrum(grid, acc)
+    omegas = signal.grid.base_rate * signal.support
+    steer = steering(signal.num_antennas, omegas * tau_rx)
+    received = np.sum(signal.phasors * steer, axis=0)
+    return LineSpectrum(signal.grid, dict(zip(signal.support.tolist(), received.tolist())))
 
 
 @dataclass(frozen=True)
@@ -325,6 +295,22 @@ class Pattern:
         return min(self.peak_taus, key=lambda p: abs(p - tau))
 
 
+def _sweep_grid(
+    signal: ArraySignal, freq_index: int, geometry: ArrayGeometry, num_points: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Delays ``[-element_delay, +element_delay]`` (endpoints included) of a
+    sweep of line ``freq_index``, their ``(M, num_points)`` steering matrix,
+    and the sweep's coherence tolerance."""
+    if num_points < 16:
+        raise ValueError("num_points must be >= 16")
+    if geometry.num_antennas != signal.num_antennas:
+        raise ValueError("geometry and signal disagree on the antenna count")
+    taus = np.linspace(-geometry.element_delay, geometry.element_delay, num_points)
+    omega = signal.grid.omega(freq_index)
+    tol = _coherence_tolerance(geometry.num_antennas, omega, float(taus[1] - taus[0]))
+    return taus, steering(geometry.num_antennas, omega * taus), tol
+
+
 def _build_pattern(
     freq_index: int,
     taus: np.ndarray,
@@ -365,19 +351,10 @@ def pattern_sweep(
 ) -> Pattern:
     """Received power of one line swept over ``num_points`` delays spanning
     ``[-element_delay, +element_delay]`` (endpoints included)."""
-    if num_points < 16:
-        raise ValueError("num_points must be >= 16")
-    if geometry.num_antennas != signal.num_antennas:
-        raise ValueError("geometry and signal disagree on the antenna count")
+    taus, steer, tol = _sweep_grid(signal, freq_index, geometry, num_points)
     if not signal.has_line(freq_index):
         raise MissingLineError(f"no antenna carries a line at index {freq_index}")
-    cm = signal.coefficients(freq_index)
-    taus = np.linspace(-geometry.element_delay, geometry.element_delay, num_points)
-    omega = signal.grid.omega(freq_index)
-    steer = np.exp(-1j * omega * np.outer(np.arange(geometry.num_antennas), taus))
-    received = cm @ steer
-    powers = 2.0 * np.abs(received) ** 2
-    tol = _coherence_tolerance(geometry.num_antennas, omega, float(taus[1] - taus[0]))
+    powers = 2.0 * np.abs(signal.coefficients(freq_index) @ steer) ** 2
     return _build_pattern(
         freq_index, taus, powers, signal.port_line_power_total(freq_index), tol
     )

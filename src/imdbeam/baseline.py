@@ -16,9 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArrayGeometry, ArraySignal, Pattern, _build_pattern, _coherence_tolerance
+from .array import (
+    DEFAULT_SWEEP_POINTS,
+    ArrayGeometry,
+    ArraySignal,
+    Pattern,
+    _build_pattern,
+    _sweep_grid,
+)
 from .errors import GridMismatchError
-from .spectra import TWO_PI, LineSpectrum
+from .spectra import TWO_PI
 
 # Fixed accumulation chunk; identical partial sums for any worker count.
 TRIAL_CHUNK = 1024
@@ -69,17 +76,18 @@ def independent_noise_transmit(
     amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
     if amp == 0.0 or not cfg.distortion_line_indices:
         return desired
-    specs = []
-    for m, spec in enumerate(desired.per_antenna):
-        noise = LineSpectrum.from_real_tones(
-            desired.grid,
-            [
-                (k, amp, uniform_phase(cfg.seed, trial, m, k))
-                for k in cfg.distortion_line_indices
-            ],
-        )
-        specs.append(spec + noise)
-    return ArraySignal(tuple(specs))
+    lines = cfg.distortion_line_indices
+    phases = np.array(
+        [
+            [uniform_phase(cfg.seed, trial, m, k) for k in lines]
+            for m in range(desired.num_antennas)
+        ]
+    )
+    return ArraySignal.from_phasors(
+        desired.grid,
+        np.concatenate((desired.support, lines)),
+        np.concatenate((desired.phasors, 0.5 * amp * np.exp(1j * phases)), axis=1),
+    )
 
 
 def mean_pattern(
@@ -87,7 +95,7 @@ def mean_pattern(
     desired: ArraySignal,
     geometry: ArrayGeometry,
     freq_index: int,
-    num_points: int = 1024,
+    num_points: int = DEFAULT_SWEEP_POINTS,
     workers: int = 1,
 ) -> Pattern:
     """Trial-averaged received-power sweep of the noise line at
@@ -99,16 +107,10 @@ def mean_pattern(
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
-    if num_points < 16:
-        raise ValueError("num_points must be >= 16")
-    if geometry.num_antennas != desired.num_antennas:
-        raise ValueError("geometry and signal disagree on the antenna count")
+    taus, steer, tol = _sweep_grid(desired, freq_index, geometry, num_points)
     m_count = geometry.num_antennas
     amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
     c_des = desired.coefficients(freq_index)
-    omega = desired.grid.omega(freq_index)
-    taus = np.linspace(-geometry.element_delay, geometry.element_delay, num_points)
-    steer = np.exp(-1j * omega * np.outer(np.arange(m_count), taus))
 
     def chunk_power_sum(bounds):
         lo, hi = bounds
@@ -139,7 +141,6 @@ def mean_pattern(
     port_total = desired.port_line_power_total(freq_index) + (
         m_count * cfg.per_antenna_line_power
     )
-    tol = _coherence_tolerance(m_count, omega, float(taus[1] - taus[0]))
     return _build_pattern(freq_index, taus, powers, port_total, tol)
 
 
@@ -152,13 +153,11 @@ def matched_noise_config(
     """Noise config whose per-antenna line power equals the behavioral
     signal's at the given indices, so the two models agree exactly at the
     ports and differ only over the air."""
-    powers = [
-        spec.line_power(k) for spec in signal.per_antenna for k in line_indices
-    ]
-    if not powers:
+    if not line_indices:
         raise ValueError("no line indices to match")
-    ref = powers[0]
-    if any(abs(p - ref) > 1e-9 * max(ref, 1e-300) for p in powers):
+    powers = np.array([signal.line_powers(k) for k in line_indices])
+    ref = float(powers[0, 0])
+    if np.any(np.abs(powers - ref) > 1e-9 * max(ref, 1e-300)):
         raise ValueError(
             "behavioral line powers differ across antennas or indices; "
             "a single matched noise power is ill-defined"
@@ -190,7 +189,8 @@ class ModelContrast:
 
 def _flatness(pattern: Pattern) -> float:
     mean = float(np.mean(pattern.powers))
-    return float(np.std(pattern.powers) / mean) if mean > 0 else 0.0
+    # std of the powers scaled by their mean first, so squaring cannot overflow
+    return float(np.std(pattern.powers / mean)) if mean > 0 else 0.0
 
 
 def model_contrast_report(behavioral: Pattern, baseline: Pattern) -> ModelContrast:
@@ -202,20 +202,9 @@ def model_contrast_report(behavioral: Pattern, baseline: Pattern) -> ModelContra
         raise GridMismatchError(
             "patterns were swept on different lines or delay grids"
         )
-    if behavioral.peak_power == 0.0 and baseline.peak_power == 0.0:
-        return ModelContrast(
-            freq_index=behavioral.freq_index,
-            behavioral_peak_tau=behavioral.peak_tau,
-            baseline_peak_tau=baseline.peak_tau,
-            peak_power_ratio=None,
-            behavioral_contrast=0.0,
-            baseline_contrast=0.0,
-            behavioral_flatness=0.0,
-            baseline_flatness=0.0,
-            behavioral_directive=False,
-            baseline_directive=False,
-            note="no distortion lines",
-        )
+    # two all-zero patterns have contrast, flatness and ratio 0, 0 and None
+    # on this path as well; only the note tells them apart
+    empty = behavioral.peak_power == 0.0 and baseline.peak_power == 0.0
     ratio = (
         behavioral.peak_power / baseline.peak_power
         if baseline.peak_power > 0.0
@@ -232,4 +221,5 @@ def model_contrast_report(behavioral: Pattern, baseline: Pattern) -> ModelContra
         baseline_flatness=_flatness(baseline),
         behavioral_directive=behavioral.contrast > DIRECTIVE_CONTRAST,
         baseline_directive=baseline.contrast > DIRECTIVE_CONTRAST,
+        note="no distortion lines" if empty else None,
     )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .array import (
+    DEFAULT_SWEEP_POINTS,
     ArrayGeometry,
     ArraySignal,
     DistortionDirections,
@@ -39,6 +40,8 @@ from .array import (
     transmit,
 )
 from .baseline import (
+    _I64_MAX,
+    _I64_MIN,
     ModelContrast,
     matched_noise_config,
     mean_pattern,
@@ -52,10 +55,6 @@ from .nonlinearity import (
     two_tone_third_order_terms,
 )
 from .spectra import FrequencyGrid
-
-DEFAULT_SWEEP_POINTS = 1024
-
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +96,14 @@ def _is_number(v) -> bool:
 def _as_number(v, field: str) -> float:
     if not _is_number(v):
         raise ConfigError(field, "must be a number")
-    return float(v)
+    # json.loads accepts NaN and Infinity; an integer literal can exceed float
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(field, "must be a finite number")
+    return x
 
 
 def _as_int(v, field: str, minimum: int | None = None) -> int:
@@ -310,6 +316,23 @@ def parse_config(text: str) -> ScenarioConfig:
                     )
         baseline = BaselineSettings(trials, line_indices)
 
+    # Every port line is at most sum_p |a_p| (A1 + A2)**p in magnitude, so no
+    # received power, matched noise included, exceeds 8 * (M * peak)**2.  The
+    # run sums such powers over keep-window lines and baseline trials.
+    amplitude_sum = tones[0].amplitude + tones[1].amplitude
+    try:
+        peak = sum(abs(a) * amplitude_sum**p for p, a in enumerate(coeffs, start=1))
+        bound = 8.0 * (num_antennas * peak) ** 2 * (band.keep_window[1] + 1)
+        bound *= baseline.trials if baseline is not None else 1
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ConfigError(
+            "nonlinearity.coefficients",
+            "the device output would overflow floating point at these tone "
+            "amplitudes, antenna count and trial count",
+        )
+
     output_dir = top.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string")
@@ -330,41 +353,17 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def config_to_jsonable(cfg: ScenarioConfig) -> dict:
     """Canonical JSON form; ``parse_config`` of its serialization round-trips
-    to an equal config."""
-    doc = {
-        "grid": {"base_rate": cfg.grid.base_rate, "max_index": cfg.grid.max_index},
-        "tones": [
-            {"index": t.index, "amplitude": t.amplitude, "phase": t.phase}
-            for t in cfg.tones
-        ],
-        "targets": [
-            {"index": t.index, "tau": tau} for t, tau in zip(cfg.tones, cfg.targets)
-        ],
-        "geometry": {
-            "num_antennas": cfg.geometry.num_antennas,
-            "element_delay": cfg.geometry.element_delay,
-        },
-        "nonlinearity": {"coefficients": list(cfg.device.coefficients)},
-        "band": {
-            "in_band": list(cfg.band.in_band),
-            "adjacent_lower": list(cfg.band.adjacent_lower),
-            "adjacent_upper": list(cfg.band.adjacent_upper),
-            "keep_window": list(cfg.band.keep_window),
-        },
-        "sweep_points": cfg.sweep_points,
-        "seed": cfg.seed,
-    }
-    if cfg.baseline is not None:
-        doc["baseline"] = {
-            "trials": cfg.baseline.trials,
-            "line_indices": (
-                list(cfg.baseline.line_indices)
-                if cfg.baseline.line_indices is not None
-                else None
-            ),
-        }
-    if cfg.output_dir is not None:
-        doc["output_dir"] = cfg.output_dir
+    to an equal config.  Each section is a dataclass whose fields are its
+    keys; the device is stored as ``nonlinearity`` and every target next to
+    its tone index."""
+    doc = _jsonable(cfg)
+    doc["nonlinearity"] = doc.pop("device")
+    doc["targets"] = [
+        {"index": t.index, "tau": tau} for t, tau in zip(cfg.tones, cfg.targets)
+    ]
+    for optional in ("baseline", "output_dir"):
+        if doc[optional] is None:
+            del doc[optional]
     return doc
 
 
@@ -488,7 +487,9 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         if not noise_lines:
             notes.append("no distortion lines present; baseline comparison skipped")
         else:
-            desired = transmit(assignment, PolynomialNonlinearity.identity(), cfg.band)
+            # parse_config keeps both tones inside band.in_band, so the
+            # band filter passes the steered input unchanged
+            desired = assignment.input_signal()
             ncfg = matched_noise_config(
                 signal, tuple(noise_lines), cfg.baseline.trials, cfg.seed
             )
@@ -533,50 +534,33 @@ def _json_num(x):
     return x if math.isfinite(x) else str(x)
 
 
+def _jsonable(x):
+    """JSON form of report values: dataclasses and mappings become objects
+    with string keys, tuples become lists, floats pass through _json_num."""
+    if dataclasses.is_dataclass(x):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    return _json_num(x) if isinstance(x, float) else x
+
+
 def _report_jsonable(report: MetricsReport) -> dict:
-    doc = {
-        "location": report.location,
-        "evm": _json_num(report.evm),
-        "aclr_lower_db": _json_num(report.aclr_lower_db),
-        "aclr_upper_db": _json_num(report.aclr_upper_db),
-    }
-    if report.array_gain_by_line is not None:
-        doc["array_gain_by_line"] = {
-            str(k): _json_num(g) for k, g in sorted(report.array_gain_by_line.items())
-        }
+    doc = _jsonable(report)
+    if report.array_gain_by_line is None:
+        del doc["array_gain_by_line"]
     return doc
 
 
 def _pattern_jsonable(pattern: Pattern, csv_name: str) -> dict:
-    return {
-        "freq_index": pattern.freq_index,
+    doc = _jsonable(pattern)  # the swept arrays go to the CSV instead
+    del doc["taus"], doc["powers"]
+    return doc | {
         "points": int(pattern.taus.size),
         "tau_start": _json_num(pattern.taus[0]),
         "tau_stop": _json_num(pattern.taus[-1]),
-        "peak_tau": _json_num(pattern.peak_tau),
-        "peak_power": _json_num(pattern.peak_power),
-        "peak_gain": _json_num(pattern.peak_gain),
-        "mean_power": _json_num(pattern.mean_power),
-        "contrast": _json_num(pattern.contrast),
-        "peak_taus": [_json_num(t) for t in pattern.peak_taus],
-        "multi_peaked": pattern.multi_peaked,
         "csv": csv_name,
-    }
-
-
-def _contrast_jsonable(c: ModelContrast) -> dict:
-    return {
-        "freq_index": c.freq_index,
-        "behavioral_peak_tau": _json_num(c.behavioral_peak_tau),
-        "baseline_peak_tau": _json_num(c.baseline_peak_tau),
-        "peak_power_ratio": None if c.peak_power_ratio is None else _json_num(c.peak_power_ratio),
-        "behavioral_contrast": _json_num(c.behavioral_contrast),
-        "baseline_contrast": _json_num(c.baseline_contrast),
-        "behavioral_flatness": _json_num(c.behavioral_flatness),
-        "baseline_flatness": _json_num(c.baseline_flatness),
-        "behavioral_directive": c.behavioral_directive,
-        "baseline_directive": c.baseline_directive,
-        "note": c.note,
     }
 
 
@@ -585,7 +569,7 @@ def _pattern_csv_name(freq_index: int, baseline: bool = False) -> str:
 
 
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
-    cfg = bundle.config
+    cfg, assignment, dd = bundle.config, bundle.assignment, bundle.distortion
     doc = {
         "provenance": {
             "config_sha256": config_hash(cfg),
@@ -594,54 +578,43 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
         },
         "config": config_to_jsonable(cfg),
         "steering": {
-            "tone_indices": list(bundle.assignment.tone_indices),
-            "amplitudes": [_json_num(a) for a in bundle.assignment.amplitudes],
-            "targets": [_json_num(t) for t in bundle.assignment.targets],
-            "phases": [
-                [_json_num(p) for p in row] for row in bundle.assignment.phases
-            ],
+            "tone_indices": assignment.tone_indices,
+            "amplitudes": assignment.amplitudes,
+            "targets": assignment.targets,
+            "phases": assignment.phases,
         },
         "distortion_directions": {
-            "upper": {
-                "line_index": bundle.distortion.upper_index,
-                "tau": _json_num(bundle.distortion.upper_tau),
-                "modulus": _json_num(bundle.distortion.upper_modulus),
-            },
-            "lower": {
-                "line_index": bundle.distortion.lower_index,
-                "tau": _json_num(bundle.distortion.lower_tau),
-                "modulus": _json_num(bundle.distortion.lower_modulus),
-            },
+            side: {
+                "line_index": getattr(dd, f"{side}_index"),
+                "tau": getattr(dd, f"{side}_tau"),
+                "modulus": getattr(dd, f"{side}_modulus"),
+            }
+            for side in ("upper", "lower")
         },
         "ports": [_report_jsonable(r) for r in bundle.ports],
         "directions": [
-            {"tau": _json_num(d.tau), "kind": d.kind, **_report_jsonable(d.report)}
+            {"tau": d.tau, "kind": d.kind, **_report_jsonable(d.report)}
             for d in bundle.directions
         ],
         "patterns": [
             _pattern_jsonable(p, _pattern_csv_name(p.freq_index)) for p in bundle.patterns
         ],
-        "notes": list(bundle.notes),
+        "notes": bundle.notes,
+        "baseline": None,
     }
     if cfg.baseline is not None:
         doc["baseline"] = {
             "trials": cfg.baseline.trials,
             "seed": bundle.seed,
             "line_indices": [p.freq_index for p in bundle.baseline_patterns],
-            "per_antenna_line_power": (
-                None
-                if bundle.baseline_line_power is None
-                else _json_num(bundle.baseline_line_power)
-            ),
+            "per_antenna_line_power": bundle.baseline_line_power,
             "patterns": [
                 _pattern_jsonable(p, _pattern_csv_name(p.freq_index, baseline=True))
                 for p in bundle.baseline_patterns
             ],
-            "contrast": [_contrast_jsonable(c) for c in bundle.contrasts],
+            "contrast": bundle.contrasts,
         }
-    else:
-        doc["baseline"] = None
-    return doc
+    return _jsonable(doc)
 
 
 def _write_atomic(path: str, data: str):
@@ -671,12 +644,9 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     leaves a partial ``report.json``."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for pattern in bundle.patterns:
-        path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index))
-        _write_atomic(path, _pattern_csv(pattern))
-        written.append(path)
-    for pattern in bundle.baseline_patterns:
-        path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline=True))
+    sweeps = [(p, False) for p in bundle.patterns]
+    for pattern, baseline in sweeps + [(p, True) for p in bundle.baseline_patterns]:
+        path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
         _write_atomic(path, _pattern_csv(pattern))
         written.append(path)
     report = json.dumps(bundle_to_jsonable(bundle), indent=2, sort_keys=True, allow_nan=False)
@@ -779,9 +749,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario JSON file")
+    def _common(p):
+        p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--points", type=int, default=None, help="override sweep point count"

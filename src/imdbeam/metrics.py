@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySignal, SteeringAssignment, far_field_receive
+from .array import ArraySignal, SteeringAssignment, far_field_receive, steering
 from .errors import MissingLineError
 from .nonlinearity import BandDefinition, _contains
 from .spectra import LineSpectrum
@@ -40,7 +40,7 @@ def array_gain(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
             f"no line at index {freq_index}; array gain undefined"
         )
     omega = signal.grid.omega(freq_index)
-    steer = np.exp(-1j * omega * np.arange(signal.num_antennas) * tau_rx)
+    steer = steering(signal.num_antennas, omega * tau_rx)
     return float(np.abs(np.sum(cm * steer)) ** 2 / denom)
 
 

@@ -2,9 +2,10 @@
 
 The spectrum of ``x(t)**p`` is the p-fold convolution of the signed line set
 of ``x``, so a polynomial device maps a finite line set to a finite line set
-with no time-domain approximation.  A closed-form term table for the
-third-order two-tone case and the brick-wall transmit-chain filter live here
-as well.
+with no time-domain approximation.  Every antenna of an array shares one line
+support, so the convolution runs once for all antennas.  A closed-form term
+table for the third-order two-tone case and the brick-wall transmit-chain
+filter live here as well.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridRangeError
-from .spectra import LineSpectrum
+from .spectra import ArraySignal, LineSpectrum
 
 MAX_DEGREE = 9
 
@@ -126,36 +127,57 @@ def _contains(interval: Interval, k: int) -> bool:
     return interval[0] <= k <= interval[1]
 
 
-def _convolve(a: dict[int, complex], b: dict[int, complex]) -> dict[int, complex]:
-    out: dict[int, complex] = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            k = k1 + k2
-            out[k] = out.get(k, 0j) + c1 * c2
-    return out
+def _signed(support: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both halves of a conjugate-symmetric line set stored one-sided."""
+    mirror = support > 0
+    return (
+        np.concatenate((-support[mirror][::-1], support)),
+        np.concatenate((phasors[:, mirror][:, ::-1].conj(), phasors), axis=1),
+    )
 
 
-def apply_polynomial(x: LineSpectrum, f: PolynomialNonlinearity) -> LineSpectrum:
-    """Exact line spectrum of ``f(x(t))`` by iterated convolution.
+def apply_polynomial(
+    x: LineSpectrum | ArraySignal, f: PolynomialNonlinearity
+) -> LineSpectrum | ArraySignal:
+    """Exact line spectrum of ``f(x(t))``, per antenna for an
+    :class:`ArraySignal`; a :class:`LineSpectrum` runs as a one-antenna
+    signal and comes back as one.
 
-    The grid must be able to hold the highest product: ``degree * k_top``
-    where ``k_top`` is the largest index present in ``x``.
+    Each power ``x**p`` is the direct convolution of ``x**(p-1)`` with the
+    signed lines of ``x``: one scatter-add over all antennas of every
+    pairwise product, so lines no product reaches stay exact zeros.  Only
+    the non-negative half of a power is formed; its negative half is the
+    conjugate.  The grid must be able to hold the highest product:
+    ``degree * k_top`` where ``k_top`` is the largest index present in ``x``.
     """
-    k_top = max((abs(k) for k, _ in x.items()), default=0)
-    if f.degree * k_top > x.grid.max_index:
+    signal = x if isinstance(x, ArraySignal) else ArraySignal((x,))
+    k_top = int(signal.support[-1]) if signal.support.size else 0
+    if f.degree * k_top > signal.grid.max_index:
         raise GridRangeError(
-            f"grid max_index {x.grid.max_index} cannot hold degree-{f.degree} "
+            f"grid max_index {signal.grid.max_index} cannot hold degree-{f.degree} "
             f"products of lines up to index {k_top}"
         )
-    base = dict(x.items())
-    power: dict[int, complex] = {}
-    acc: dict[int, complex] = {}
+    base_k, base_c = _signed(signal.support, signal.phasors)
+    power_k, power_c = signal.support, signal.phasors
+    terms_k, terms_c = [], []
     for p, a in enumerate(f.coefficients, start=1):
-        power = dict(base) if p == 1 else _convolve(power, base)
+        if p > 1:
+            prev_k, prev_c = _signed(power_k, power_c)
+            sums = (prev_k[:, None] + base_k[None, :]).ravel()
+            products = (prev_c[:, :, None] * base_c[:, None, :]).reshape(
+                signal.num_antennas, -1
+            )
+            half = sums >= 0
+            power_k, column = np.unique(sums[half], return_inverse=True)
+            power_c = np.zeros((signal.num_antennas, power_k.size), dtype=complex)
+            np.add.at(power_c, (slice(None), column), products[:, half])
         if a:
-            for k, c in power.items():
-                acc[k] = acc.get(k, 0j) + a * c
-    return LineSpectrum(x.grid, acc)
+            terms_k.append(power_k)
+            terms_c.append(a * power_c)
+    y = ArraySignal.from_phasors(
+        signal.grid, np.concatenate(terms_k), np.concatenate(terms_c, axis=1)
+    )
+    return y if signal is x else y.per_antenna[0]
 
 
 def two_tone_third_order_terms(
@@ -205,8 +227,16 @@ def distortion_terms_near_band(
     return [t for t in expansion[2:] if _contains(band.keep_window, t[0])]
 
 
-def band_filter(x: LineSpectrum, band: BandDefinition) -> LineSpectrum:
+def band_filter(
+    x: LineSpectrum | ArraySignal, band: BandDefinition
+) -> LineSpectrum | ArraySignal:
     """Brick-wall transmit-chain filter: delete every line with ``|index|``
-    outside ``band.keep_window``; unit gain inside."""
-    kept = {k: c for k, c in x.items() if _contains(band.keep_window, abs(k))}
-    return LineSpectrum(x.grid, kept)
+    outside ``band.keep_window``; unit gain inside.  Works per antenna on an
+    :class:`ArraySignal` and on a :class:`LineSpectrum` as one antenna."""
+    signal = x if isinstance(x, ArraySignal) else ArraySignal((x,))
+    lo, hi = band.keep_window
+    kept = (signal.support >= lo) & (signal.support <= hi)
+    y = ArraySignal.from_phasors(
+        signal.grid, signal.support[kept], signal.phasors[:, kept]
+    )
+    return y if signal is x else y.per_antenna[0]

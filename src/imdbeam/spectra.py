@@ -218,6 +218,112 @@ class LineSpectrum:
         )
 
 
+class ArraySignal:
+    """Line spectra of every antenna of an array, on one grid.
+
+    All antennas are driven by the same tones through the same device, so
+    they carry lines at the same indices.  The signal is stored as one sorted
+    vector ``support`` of non-negative line indices shared by all antennas
+    and one complex ``(M, L)`` matrix ``phasors``: row ``m`` holds antenna
+    ``m``'s coefficients at those indices, an exact zero where the antenna
+    has no line.  As in :class:`LineSpectrum`, the coefficient at ``-k`` is
+    the conjugate of the one at ``+k``, the one at 0 is real, and
+    coefficients below ``PRUNE_THRESHOLD`` are dropped.
+    """
+
+    __slots__ = ("grid", "support", "phasors")
+
+    def __init__(self, per_antenna: Iterable[LineSpectrum]):
+        specs = tuple(per_antenna)
+        if not specs:
+            raise ValueError("need at least one antenna spectrum")
+        grid = specs[0].grid
+        if any(s.grid != grid for s in specs):
+            raise GridMismatchError("antenna spectra must share one grid")
+        support = sorted(set().union(*(s.indices() for s in specs)))
+        phasors = [[s.coefficient(k) for k in support] for s in specs]
+        self._store(grid, support, phasors)
+
+    @classmethod
+    def from_phasors(cls, grid: FrequencyGrid, support, phasors) -> "ArraySignal":
+        """Signal whose antenna ``m`` has coefficient ``phasors[m, j]`` at
+        line ``support[j] >= 0``; repeated indices superpose in order."""
+        signal = object.__new__(cls)
+        signal._store(grid, support, phasors)
+        return signal
+
+    def _store(self, grid, support, phasors):
+        support = np.asarray(support, dtype=np.int64)
+        phasors = np.asarray(phasors, dtype=complex)
+        lines, column = np.unique(support, return_inverse=True)
+        if lines.size and (lines[0] < 0 or lines[-1] > grid.max_index):
+            raise GridRangeError(
+                f"line indices must lie in [0, {grid.max_index}] on this grid"
+            )
+        merged = np.zeros((phasors.shape[0], lines.size), dtype=complex)
+        np.add.at(merged, (slice(None), column), phasors)
+        if lines.size and lines[0] == 0:
+            merged[:, 0] = merged[:, 0].real
+        merged[np.abs(merged) < PRUNE_THRESHOLD] = 0.0
+        present = np.any(merged != 0.0, axis=0)
+        lines, merged = lines[present], merged[:, present]
+        lines.setflags(write=False)
+        merged.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "support", lines)
+        object.__setattr__(self, "phasors", merged)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ArraySignal is immutable")
+
+    @property
+    def num_antennas(self) -> int:
+        return self.phasors.shape[0]
+
+    @property
+    def per_antenna(self) -> tuple[LineSpectrum, ...]:
+        """One :class:`LineSpectrum` per antenna: the rows of ``phasors``."""
+        support = self.support.tolist()
+        return tuple(
+            LineSpectrum(self.grid, {k: c for k, c in zip(support, row) if c})
+            for row in self.phasors.tolist()
+        )
+
+    def coefficients(self, index: int) -> np.ndarray:
+        """Per-antenna complex coefficient of the line at ``index``."""
+        j = int(np.searchsorted(self.support, abs(index)))
+        if j == self.support.size or self.support[j] != abs(index):
+            return np.zeros(self.num_antennas, dtype=complex)
+        column = self.phasors[:, j]
+        return column.conj() if index < 0 else column
+
+    def has_line(self, index: int) -> bool:
+        return abs(index) in self.support
+
+    def line_indices(self) -> tuple[int, ...]:
+        """Sorted union of non-negative line indices across antennas."""
+        return tuple(self.support.tolist())
+
+    def line_powers(self, index: int) -> np.ndarray:
+        """Per-port power of the line, as :meth:`LineSpectrum.line_power`."""
+        c = self.coefficients(index)
+        mag2 = c.real * c.real + c.imag * c.imag
+        return mag2 if index == 0 else 2.0 * mag2
+
+    def port_line_power_total(self, index: int) -> float:
+        """Sum over antennas of the per-port power of the line."""
+        return float(np.sum(self.line_powers(index)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ArraySignal):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and np.array_equal(self.support, other.support)
+            and np.array_equal(self.phasors, other.phasors)
+        )
+
+
 def tone(grid: FrequencyGrid, amplitude: float, freq_index: int, phase: float = 0.0) -> LineSpectrum:
     """Spectrum of ``amplitude * cos(freq_index * base_rate * t + phase)``."""
     if int(freq_index) != freq_index or freq_index < 1:

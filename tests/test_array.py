@@ -4,6 +4,8 @@ time-domain oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imdbeam import (
     ArrayGeometry,
@@ -16,12 +18,15 @@ from imdbeam import (
     MissingLineError,
     PolynomialNonlinearity,
     SteeringAssignment,
+    array_gain,
+    band_filter,
     delay_to_angle,
     distortion_delays,
     estimate_lines,
     far_field_receive,
     fold_delay,
     pattern_sweep,
+    sample_waveform,
     steer_tones,
     tone,
     transmit,
@@ -141,6 +146,72 @@ class TestArraySignal:
         assert sig.has_line(13) and not sig.has_line(14)
         assert sig.coefficients(13).shape == (2,)
         assert sig.port_line_power_total(9) == pytest.approx(2 * 1.225**2 / 2, rel=1e-12)
+
+    def test_union_support_and_rows(self):
+        a = tone(GRID, 1.0, 9, 0.3)
+        b = tone(GRID, 0.5, 11, -0.2) + LineSpectrum(GRID, {0: 0.25})
+        sig = ArraySignal((a, b))
+        assert sig.line_indices() == (0, 9, 11)
+        assert sig.phasors.shape == (2, 3)
+        assert sig.per_antenna == (a, b)
+        assert sig.coefficients(-9)[0] == a.coefficient(-9)
+        assert sig.coefficients(11)[0] == 0j and not sig.has_line(10)
+        assert sig.port_line_power_total(0) == b.line_power(0)
+
+
+@st.composite
+def transmit_plans(draw):
+    """Random two-tone plan, device of degree <= 9 and array of M <= 8."""
+    k1 = draw(st.integers(1, 12))
+    k2 = k1 + draw(st.integers(1, 8))
+    coefficients = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9))
+    assume(any(abs(a) > 1e-3 for a in coefficients))
+    width = draw(st.integers(1, k1))
+    max_index = max(len(coefficients) * k2, k2 + width) + draw(st.integers(0, 5))
+    grid = FrequencyGrid(2 * np.pi, max_index)
+    geo = ArrayGeometry(draw(st.integers(1, 8)), draw(st.floats(0.01, 0.5)))
+    tau = st.floats(-geo.element_delay, geo.element_delay)
+    assignment = steer_tones(
+        grid,
+        geo,
+        {k1: draw(tau), k2: draw(tau)},
+        base_phases={k1: draw(st.floats(-np.pi, np.pi)), k2: draw(st.floats(-np.pi, np.pi))},
+        amplitudes={k1: draw(st.floats(0.1, 1.5)), k2: draw(st.floats(0.1, 1.5))},
+    )
+    keep = (0, max_index) if draw(st.booleans()) else None
+    band = BandDefinition.around((k1, k2), width, keep)
+    return assignment, PolynomialNonlinearity(tuple(coefficients)), band
+
+
+class TestTransmitProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(transmit_plans())
+    def test_matches_time_domain_per_antenna(self, plan):
+        # each antenna against the independent path: coherent samples of its
+        # input, the polynomial applied pointwise, DFT, then the band filter
+        assignment, f, band = plan
+        sig = transmit(assignment, f, band)
+        grid = assignment.grid
+        scale = sum(abs(a) * sum(assignment.amplitudes) ** p for p, a in enumerate(f.coefficients, 1))
+        for m, spec in enumerate(sig.per_antenna):
+            w = sample_waveform(assignment.antenna_spectrum(m), 1, 2 * grid.max_index + 2)
+            distorted = SampledWaveform(f.evaluate(w.samples), w.sample_rate)
+            oracle = band_filter(estimate_lines(distorted, grid), band)
+            assert spec.allclose(oracle, rtol=1e-9, atol=1e-11 * scale)
+
+    def test_huge_grid_allocates_nothing_grid_sized(self):
+        # one dense row over this grid would take 2e13 phasors; the shared
+        # support holds only the lines the device produces
+        grid = FrequencyGrid(2 * np.pi * 1e-6, 10**13)
+        geo = ArrayGeometry(64, 0.5)
+        k1, k2 = 1_000_001, 1_000_003
+        assignment = steer_tones(grid, geo, {k1: 0.1, k2: 0.2})
+        f = PolynomialNonlinearity((1.0, 0.0, 0.1, 0.0, 0.01, 0.0, 0.001, 0.0, 1e-4))
+        sig = transmit(assignment, f, BandDefinition.around((k1, k2), 8))
+        dd = distortion_delays(k1, k2, assignment)
+        pattern = pattern_sweep(sig, dd.upper_index, geo)
+        assert array_gain(sig, dd.upper_index, dd.upper_tau) == pytest.approx(64, rel=1e-9)
+        assert abs(pattern.nearest_peak(dd.upper_tau) - dd.upper_tau) <= pattern.step
 
 
 class TestFarFieldReceive:

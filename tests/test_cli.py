@@ -320,6 +320,39 @@ class TestMain:
         assert "scenario run failed" in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (
+                lambda d: d["nonlinearity"].update(coefficients=[1.0, 0.0, float("nan")]),
+                "nonlinearity.coefficients[2]",
+            ),
+            (lambda d: d["targets"][0].update(tau=float("nan")), "targets[0].tau"),
+            (
+                lambda d: d["geometry"].update(element_delay=float("inf")),
+                "geometry.element_delay",
+            ),
+        ],
+    )
+    def test_non_finite_number_rejected_before_writing(
+        self, tmp_path, capsys, mutate, field
+    ):
+        doc = base_config(sweep_points=64)
+        mutate(doc)
+        path = self.write_config(tmp_path, doc)  # json.dumps writes NaN/Infinity
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert f"{field}: must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_device_rejected_before_writing(self, tmp_path, capsys):
+        doc = base_config(sweep_points=64, nonlinearity={"coefficients": [1.0, 0.0, 1e308]})
+        path = self.write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        assert "nonlinearity.coefficients" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_requires_baseline(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
         assert main(["compare", "--config", path]) == 2
