@@ -170,7 +170,7 @@ def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     omegas = signal.grid.base_rate * signal.support
     steer = steering(signal.num_antennas, omegas * tau_rx)
     received = np.sum(signal.phasors * steer, axis=0)
-    return LineSpectrum(signal.grid, dict(zip(signal.support.tolist(), received.tolist())))
+    return LineSpectrum.from_phasors(signal.grid, signal.support, received[None])
 
 
 @dataclass(frozen=True)

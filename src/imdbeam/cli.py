@@ -42,6 +42,7 @@ from .array import (
 from .baseline import (
     _I64_MAX,
     _I64_MIN,
+    TRIAL_CHUNK,
     ModelContrast,
     matched_noise_config,
     mean_pattern,
@@ -55,6 +56,11 @@ from .nonlinearity import (
     two_tone_third_order_terms,
 )
 from .spectra import FrequencyGrid
+
+# Largest complex matrix a sweep may form, in rows x sweep points: rows are
+# the antennas of a steering matrix, or the trials of one Monte Carlo chunk.
+# 2**24 elements take 256 MiB.
+MAX_SWEEP_ELEMENTS = 2**24
 
 
 # --------------------------------------------------------------------------
@@ -136,20 +142,23 @@ def _as_interval(v, field: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _decode(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            "$", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a scenario config document.
 
     Syntax errors carry line/column; semantic errors name the offending
     field and the violated constraint.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            "$", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
     top = _as_object(
-        doc,
+        _decode(text),
         "$",
         {
             "grid",
@@ -315,6 +324,14 @@ def parse_config(text: str) -> ScenarioConfig:
                         "baseline.line_indices", f"index {k} exceeds grid.max_index"
                     )
         baseline = BaselineSettings(trials, line_indices)
+
+    rows = max(num_antennas, min(baseline.trials, TRIAL_CHUNK) if baseline else 0)
+    if rows * sweep_points > MAX_SWEEP_ELEMENTS:
+        raise ConfigError(
+            "sweep_points",
+            f"must be at most {MAX_SWEEP_ELEMENTS // rows}: a sweep forms "
+            f"{rows} x sweep_points complex matrices",
+        )
 
     # Every port line is at most sum_p |a_p| (A1 + A2)**p in magnitude, so no
     # received power, matched noise included, exceeds 8 * (M * peak)**2.  The
@@ -667,16 +684,12 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
             text = fh.read()
     except OSError as e:
         raise ConfigError("$", f"cannot read config {path}: {e.strerror}") from None
-    cfg = parse_config(text)
-    if seed is not None:
-        if not _I64_MIN <= seed <= _I64_MAX:
-            raise ConfigError("seed", "must fit in 64 bits")
-        cfg = dataclasses.replace(cfg, seed=seed)
-    if points is not None:
-        if points < 16:
-            raise ConfigError("sweep_points", "must be >= 16")
-        cfg = dataclasses.replace(cfg, sweep_points=points)
-    return cfg
+    overrides = {k: v for k, v in (("seed", seed), ("sweep_points", points)) if v is not None}
+    doc = _decode(text)
+    if overrides and isinstance(doc, dict):
+        # the overrides replace their fields before the fields are checked
+        text = json.dumps(doc | overrides)
+    return parse_config(text)
 
 
 def _resolve_out(args_out: str | None, cfg: ScenarioConfig) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 from .array import ArraySignal, SteeringAssignment, far_field_receive, steering
 from .errors import MissingLineError
 from .nonlinearity import BandDefinition, _contains
-from .spectra import LineSpectrum
+from .spectra import LineSpectrum, _columns
 
 
 @dataclass(frozen=True)
@@ -44,25 +44,60 @@ def array_gain(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
     return float(np.abs(np.sum(cm * steer)) ** 2 / denom)
 
 
-def _interval_power(spectrum: LineSpectrum, interval: tuple[int, int]) -> float:
-    return sum(
-        spectrum.line_power(k) for k in spectrum.indices() if _contains(interval, k)
-    )
+def _mag2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _interval_powers(support, phasors, interval: tuple[int, int]) -> np.ndarray:
+    """Per-row power of the lines of ``support`` inside ``interval``."""
+    inside = _contains(interval, support)
+    mag2 = _mag2(phasors[:, inside])
+    return np.sum(np.where(support[inside] == 0, mag2, 2.0 * mag2), axis=1)
+
+
+def _aclr_rows(support, phasors, band: BandDefinition) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (lower, upper) adjacent-band leakage in dB of the rows of
+    ``phasors``, whose columns are the lines ``support``."""
+    p_in = _interval_powers(support, phasors, band.in_band)
+    if np.any(p_in <= 0.0):
+        raise ValueError("in-band power is zero; ACLR undefined")
+    with np.errstate(divide="ignore"):  # a clean adjacent band gives -inf
+        lower, upper = (
+            10.0 * np.log10(_interval_powers(support, phasors, side) / p_in)
+            for side in (band.adjacent_lower, band.adjacent_upper)
+        )
+    return lower, upper
+
+
+def _evm_rows(support, phasors, ref_indices, refs: np.ndarray, band: BandDefinition) -> np.ndarray:
+    """Per-row EVM of the rows of ``phasors`` (columns at the lines
+    ``support``) against the reference phasors ``refs`` (one row for all, or
+    one row each) at the lines ``ref_indices``, which must be in-band."""
+    ref_indices = np.asarray(ref_indices, dtype=np.int64)
+    outside = ref_indices[~_contains(band.in_band, ref_indices)]
+    if outside.size:
+        raise ValueError(
+            f"reference tone at index {outside[0]} lies outside the in-band interval"
+        )
+    ref_power = np.sum(_mag2(refs), axis=1)
+    if np.any(ref_power == 0.0):
+        raise ValueError("reference power is zero; EVM undefined")
+    observed = _columns(support, phasors, ref_indices)
+    g = np.sum(refs.conj() * observed, axis=1) / ref_power
+    unreferenced = _contains(band.in_band, support) & ~np.isin(support, ref_indices)
+    err = np.sum(_mag2(observed - g[:, None] * refs), axis=1)
+    err += np.sum(_mag2(phasors[:, unreferenced]), axis=1)
+    sig = _mag2(g) * ref_power
+    if np.any(sig == 0.0):
+        raise ValueError("observed in-band signal is zero; EVM undefined")
+    return np.sqrt(err / sig)
 
 
 def aclr(spectrum: LineSpectrum, band: BandDefinition) -> tuple[float, float]:
     """(lower, upper) adjacent-band leakage in dB relative to total in-band
     power.  An empty adjacent band reports ``-inf``."""
-    p_in = _interval_power(spectrum, band.in_band)
-    if p_in <= 0.0:
-        raise ValueError("in-band power is zero; ACLR undefined")
-    sides = []
-    for interval in (band.adjacent_lower, band.adjacent_upper):
-        p_adj = _interval_power(spectrum, interval)
-        sides.append(
-            float(10.0 * np.log10(p_adj / p_in)) if p_adj > 0.0 else float("-inf")
-        )
-    return sides[0], sides[1]
+    lower, upper = _aclr_rows(spectrum.support, spectrum.phasors, band)
+    return float(lower[0]), float(upper[0])
 
 
 def evm(
@@ -79,23 +114,9 @@ def evm(
     """
     refs: dict[int, complex] = {}
     for k, amp, phase in reference_tones:
-        if not _contains(band.in_band, k):
-            raise ValueError(
-                f"reference tone at index {k} lies outside the in-band interval"
-            )
         refs[k] = refs.get(k, 0j) + 0.5 * amp * np.exp(1j * phase)
-    ref_power = sum(abs(c) ** 2 for c in refs.values())
-    if ref_power == 0.0:
-        raise ValueError("reference power is zero; EVM undefined")
-    g = sum(refs[k].conjugate() * spectrum.coefficient(k) for k in refs) / ref_power
-    in_band = sorted(
-        set(refs) | {k for k in spectrum.indices() if _contains(band.in_band, k)}
-    )
-    err = sum(abs(spectrum.coefficient(k) - g * refs.get(k, 0j)) ** 2 for k in in_band)
-    sig = sum(abs(g * c) ** 2 for c in refs.values())
-    if sig == 0.0:
-        raise ValueError("observed in-band signal is zero; EVM undefined")
-    return float(np.sqrt(err / sig))
+    ref_row = np.array([list(refs.values())])
+    return float(_evm_rows(spectrum.support, spectrum.phasors, list(refs), ref_row, band)[0])
 
 
 def port_vs_ota_report(
@@ -113,31 +134,21 @@ def port_vs_ota_report(
     absorbs.  In multi-user steering a direction report's EVM therefore also
     picks up the other user's partially combined tone.
     """
-    reports = []
-    tones = list(zip(assignment.tone_indices, assignment.amplitudes))
-    for m, spec in enumerate(signal.per_antenna):
-        refs = [(k, a, assignment.phases[m][j]) for j, (k, a) in enumerate(tones)]
-        lo, hi = aclr(spec, band)
-        reports.append(
-            MetricsReport(
-                location=f"port {m + 1}",
-                evm=evm(spec, refs, band),
-                aclr_lower_db=lo,
-                aclr_upper_db=hi,
-            )
-        )
+    received = [far_field_receive(signal, tau) for tau in directions]
+    # one row per port, then one per direction, all on the signal's lines
+    rows = np.concatenate(
+        [signal.phasors, *(_columns(rx.support, rx.phasors, signal.support) for rx in received)]
+    )
+    ref = assignment.input_signal()
+    refs = np.concatenate([ref.phasors, np.repeat(ref.phasors[:1], len(received), axis=0)])
+    lower, upper = _aclr_rows(signal.support, rows, band)
+    evms = _evm_rows(signal.support, rows, ref.support, refs, band)
     lines = [k for k in signal.line_indices() if k > 0]
-    base_refs = [(k, a, assignment.phases[0][j]) for j, (k, a) in enumerate(tones)]
-    for tau in directions:
-        rx = far_field_receive(signal, tau)
-        lo, hi = aclr(rx, band)
-        reports.append(
-            MetricsReport(
-                location=f"direction tau={tau:.12g}",
-                evm=evm(rx, base_refs, band),
-                aclr_lower_db=lo,
-                aclr_upper_db=hi,
-                array_gain_by_line={k: array_gain(signal, k, tau) for k in lines},
-            )
-        )
-    return reports
+    locations = [f"port {m + 1}" for m in range(signal.num_antennas)]
+    locations += [f"direction tau={tau:.12g}" for tau in directions]
+    gains = [None] * signal.num_antennas
+    gains += [{k: array_gain(signal, k, tau) for k in lines} for tau in directions]
+    return [
+        MetricsReport(*fields)
+        for fields in zip(locations, evms.tolist(), lower.tolist(), upper.tolist(), gains)
+    ]

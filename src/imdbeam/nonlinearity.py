@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridRangeError
-from .spectra import ArraySignal, LineSpectrum
+from .spectra import ArraySignal
 
 MAX_DEGREE = 9
 
@@ -123,8 +123,10 @@ class BandDefinition:
         return cls((lo, hi), lower, upper, keep_window)
 
 
-def _contains(interval: Interval, k: int) -> bool:
-    return interval[0] <= k <= interval[1]
+def _contains(interval: Interval, k):
+    """Whether the index ``k``, or each index of an array ``k``, lies in
+    ``interval``."""
+    return (interval[0] <= k) & (k <= interval[1])
 
 
 def _signed(support: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,12 +138,9 @@ def _signed(support: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.nd
     )
 
 
-def apply_polynomial(
-    x: LineSpectrum | ArraySignal, f: PolynomialNonlinearity
-) -> LineSpectrum | ArraySignal:
-    """Exact line spectrum of ``f(x(t))``, per antenna for an
-    :class:`ArraySignal`; a :class:`LineSpectrum` runs as a one-antenna
-    signal and comes back as one.
+def apply_polynomial(x: ArraySignal, f: PolynomialNonlinearity) -> ArraySignal:
+    """Exact line spectrum of ``f(x(t))`` per antenna, of the same type as
+    ``x`` (a :class:`LineSpectrum` is the one-antenna case).
 
     Each power ``x**p`` is the direct convolution of ``x**(p-1)`` with the
     signed lines of ``x``: one scatter-add over all antennas of every
@@ -150,34 +149,32 @@ def apply_polynomial(
     conjugate.  The grid must be able to hold the highest product:
     ``degree * k_top`` where ``k_top`` is the largest index present in ``x``.
     """
-    signal = x if isinstance(x, ArraySignal) else ArraySignal((x,))
-    k_top = int(signal.support[-1]) if signal.support.size else 0
-    if f.degree * k_top > signal.grid.max_index:
+    k_top = int(x.support[-1]) if x.support.size else 0
+    if f.degree * k_top > x.grid.max_index:
         raise GridRangeError(
-            f"grid max_index {signal.grid.max_index} cannot hold degree-{f.degree} "
+            f"grid max_index {x.grid.max_index} cannot hold degree-{f.degree} "
             f"products of lines up to index {k_top}"
         )
-    base_k, base_c = _signed(signal.support, signal.phasors)
-    power_k, power_c = signal.support, signal.phasors
+    base_k, base_c = _signed(x.support, x.phasors)
+    power_k, power_c = x.support, x.phasors
     terms_k, terms_c = [], []
     for p, a in enumerate(f.coefficients, start=1):
         if p > 1:
             prev_k, prev_c = _signed(power_k, power_c)
             sums = (prev_k[:, None] + base_k[None, :]).ravel()
             products = (prev_c[:, :, None] * base_c[:, None, :]).reshape(
-                signal.num_antennas, -1
+                x.num_antennas, -1
             )
             half = sums >= 0
             power_k, column = np.unique(sums[half], return_inverse=True)
-            power_c = np.zeros((signal.num_antennas, power_k.size), dtype=complex)
+            power_c = np.zeros((x.num_antennas, power_k.size), dtype=complex)
             np.add.at(power_c, (slice(None), column), products[:, half])
         if a:
             terms_k.append(power_k)
             terms_c.append(a * power_c)
-    y = ArraySignal.from_phasors(
-        signal.grid, np.concatenate(terms_k), np.concatenate(terms_c, axis=1)
+    return type(x).from_phasors(
+        x.grid, np.concatenate(terms_k), np.concatenate(terms_c, axis=1)
     )
-    return y if signal is x else y.per_antenna[0]
 
 
 def two_tone_third_order_terms(
@@ -221,22 +218,21 @@ def distortion_terms_near_band(
     expansion: list[tuple[int, float, float]], band: BandDefinition
 ) -> list[tuple[int, float, float]]:
     """Distortion terms of a two-tone expansion that survive the transmit
-    chain (indices inside ``band.keep_window``); the leading fundamental
-    entries are excluded.  Expansions from a linear device yield an empty
-    list."""
-    return [t for t in expansion[2:] if _contains(band.keep_window, t[0])]
+    chain (indices inside ``band.keep_window``); the fundamentals are
+    excluded.  Expansions from a linear device yield an empty list.
+
+    In the order of :func:`two_tone_third_order_terms` the fundamentals
+    ``k1 < k2`` lead the expansion unless gain compression cancels them, and
+    then it starts with the products at ``2*k2 + k1 > 2*k2 - k1``.
+    """
+    leading = [k for k, _, _ in expansion[:2]]
+    fundamentals = 2 if len(leading) == 2 and leading[0] < leading[1] else 0
+    return [t for t in expansion[fundamentals:] if _contains(band.keep_window, t[0])]
 
 
-def band_filter(
-    x: LineSpectrum | ArraySignal, band: BandDefinition
-) -> LineSpectrum | ArraySignal:
+def band_filter(x: ArraySignal, band: BandDefinition) -> ArraySignal:
     """Brick-wall transmit-chain filter: delete every line with ``|index|``
-    outside ``band.keep_window``; unit gain inside.  Works per antenna on an
-    :class:`ArraySignal` and on a :class:`LineSpectrum` as one antenna."""
-    signal = x if isinstance(x, ArraySignal) else ArraySignal((x,))
-    lo, hi = band.keep_window
-    kept = (signal.support >= lo) & (signal.support <= hi)
-    y = ArraySignal.from_phasors(
-        signal.grid, signal.support[kept], signal.phasors[:, kept]
-    )
-    return y if signal is x else y.per_antenna[0]
+    outside ``band.keep_window``; unit gain inside.  Works per antenna and
+    returns the type of ``x``."""
+    kept = _contains(band.keep_window, x.support)
+    return type(x).from_phasors(x.grid, x.support[kept], x.phasors[:, kept])

@@ -2,9 +2,10 @@
 
 Signals here are finite sums of real cosines whose angular frequencies sit on
 an integer grid ``k * base_rate``.  Each cosine ``c*cos(k*dw*t + phi)`` is
-stored as the phasor ``(c/2)*exp(1j*phi)`` at index ``+k`` together with its
-conjugate at ``-k``, so superposition and products (convolutions of the line
-sets) involve no floating-point frequency matching at all.
+the phasor ``(c/2)*exp(1j*phi)`` at index ``+k`` together with its conjugate
+at ``-k``; only the first is stored.  Superposition and products
+(convolutions of the line sets) involve no floating-point frequency matching
+at all.
 
 A coherently sampled time-domain path (:func:`sample_waveform` /
 :func:`estimate_lines`) provides an independent numerical cross-check of the
@@ -20,8 +21,10 @@ from .errors import AliasingError, GridMismatchError, GridRangeError, LeakageErr
 
 TWO_PI = 2.0 * np.pi
 
-# Coefficients below this magnitude are dropped after every operation; far
-# below every tolerance used by callers, so pruning is unobservable.
+# Coefficients below this magnitude are dropped, by ArraySignal._store alone.
+# The threshold is absolute, not relative to the signal's scale: scaled down
+# far enough (tone amplitude 1e-5 through x + 0.1*x**3), a signal loses lines
+# that carry real power.
 PRUNE_THRESHOLD = 1e-14
 
 
@@ -52,170 +55,15 @@ class FrequencyGrid:
         return TWO_PI / self.base_rate
 
 
-class LineSpectrum:
-    """Immutable set of phasor lines of a real signal on a shared grid.
-
-    Storage is exactly conjugate-symmetric: the coefficient at ``-k`` is the
-    conjugate of the one at ``+k``, and the coefficient at 0 (when present)
-    is real.  Construction accepts one-sided or two-sided maps; a two-sided
-    map must already be conjugate-symmetric.
-    """
-
-    __slots__ = ("grid", "_lines")
-
-    def __init__(self, grid: FrequencyGrid, lines: Mapping[int, complex] = ()):
-        half: dict[int, complex] = {}
-        for k, v in dict(lines).items():
-            c = complex(v)
-            kk = abs(k)
-            want = c if k >= 0 else c.conjugate()
-            have = half.get(kk)
-            if have is None:
-                half[kk] = want
-            elif abs(have - want) > 1e-9 * max(abs(have), 1.0):
-                raise ValueError(f"conjugate symmetry violated at index {kk}")
-        stored: dict[int, complex] = {}
-        for kk in sorted(half):
-            c = half[kk]
-            if kk > grid.max_index:
-                raise GridRangeError(
-                    f"line index {kk} exceeds grid max_index {grid.max_index}"
-                )
-            if kk == 0:
-                if abs(c.imag) > 1e-9 * max(abs(c), 1.0):
-                    raise ValueError("zero-frequency coefficient must be real")
-                c = complex(c.real, 0.0)
-            if abs(c) < PRUNE_THRESHOLD:
-                continue
-            stored[kk] = c
-            if kk:
-                stored[-kk] = c.conjugate()
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_lines", stored)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineSpectrum is immutable")
-
-    @classmethod
-    def from_real_tones(
-        cls, grid: FrequencyGrid, terms: Iterable[tuple[int, float, float]]
-    ) -> "LineSpectrum":
-        """Build a spectrum from ``(index, amplitude, phase)`` cosine terms.
-
-        Repeated indices superpose.  A term at index 0 contributes the
-        constant ``amplitude*cos(phase)``.
-        """
-        acc: dict[int, complex] = {}
-        for k, amp, phase in terms:
-            if k < 0:
-                raise GridRangeError("tone index must be >= 0")
-            if k == 0:
-                acc[0] = acc.get(0, 0j) + amp * np.cos(phase)
-            else:
-                acc[k] = acc.get(k, 0j) + 0.5 * amp * np.exp(1j * phase)
-        return cls(grid, acc)
-
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._lines
-
-    def indices(self) -> tuple[int, ...]:
-        """Sorted non-negative line indices present in the spectrum."""
-        return tuple(sorted(k for k in self._lines if k >= 0))
-
-    def items(self):
-        """Signed ``(index, coefficient)`` pairs in ascending index order."""
-        return iter(sorted(self._lines.items()))
-
-    def coefficient(self, index: int) -> complex:
-        return self._lines.get(index, 0j)
-
-    def amplitude(self, index: int) -> float:
-        """Amplitude of the real cosine at ``index >= 0`` (0 if absent)."""
-        c = self.coefficient(abs(index))
-        return abs(c) if index == 0 else 2.0 * abs(c)
-
-    def phase(self, index: int) -> float:
-        return float(np.angle(self.coefficient(index)))
-
-    def as_real_tones(self) -> list[tuple[int, float, float]]:
-        """``(index, amplitude, phase)`` triples, one per non-negative line."""
-        return [(k, self.amplitude(k), self.phase(k)) for k in self.indices()]
-
-    def line_power(self, index: int) -> float:
-        """Mean-square power carried by the line: ``A**2/2`` for a cosine of
-        amplitude A, ``A**2`` for the constant at index 0."""
-        c = self.coefficient(abs(index))
-        mag2 = c.real * c.real + c.imag * c.imag
-        return mag2 if index == 0 else 2.0 * mag2
-
-    def total_power(self) -> float:
-        """Mean-square power of the whole signal (Parseval sum)."""
-        return float(sum(abs(c) ** 2 for c in self._lines.values()))
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Largest ``|c(-k) - conj(c(+k))|``; zero by construction."""
-        return max(
-            (
-                abs(self._lines.get(-k, 0j) - c.conjugate())
-                for k, c in self._lines.items()
-                if k > 0
-            ),
-            default=0.0,
-        )
-
-    def evaluate(self, t) -> np.ndarray:
-        """Evaluate the real signal at times ``t`` (seconds, array-like)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape, dtype=float)
-        for k, c in self._lines.items():
-            if k == 0:
-                out += c.real
-            elif k > 0:
-                out += 2.0 * (c * np.exp(1j * self.grid.omega(k) * t)).real
-        return out
-
-    # -- algebra ------------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, LineSpectrum):
-            return NotImplemented
-        if other.grid != self.grid:
-            raise GridMismatchError("cannot add spectra on different grids")
-        merged = dict(self._lines)
-        for k, c in other._lines.items():
-            merged[k] = merged.get(k, 0j) + c
-        return LineSpectrum(self.grid, merged)
-
-    def scaled(self, factor: float) -> "LineSpectrum":
-        """Spectrum of the signal multiplied by a real factor."""
-        return LineSpectrum(
-            self.grid, {k: factor * c for k, c in self._lines.items()}
-        )
-
-    def allclose(self, other: "LineSpectrum", rtol: float = 1e-9, atol: float = 1e-12) -> bool:
-        """Per-line comparison over the union of present indices."""
-        if other.grid != self.grid:
-            return False
-        for k in set(self._lines) | set(other._lines):
-            a = self._lines.get(k, 0j)
-            b = other._lines.get(k, 0j)
-            if abs(a - b) > atol + rtol * max(abs(a), abs(b)):
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, LineSpectrum):
-            return NotImplemented
-        return self.grid == other.grid and self._lines == other._lines
-
-    def __repr__(self):
-        return (
-            f"LineSpectrum(grid={self.grid!r}, "
-            f"lines={{{', '.join(f'{k}: {self._lines[k]:.6g}' for k in self.indices())}}})"
-        )
+def _columns(support: np.ndarray, phasors: np.ndarray, indices) -> np.ndarray:
+    """Columns of ``phasors`` (one per line of the sorted ``support``) at the
+    non-negative line ``indices``, zero where a line is absent."""
+    indices = np.asarray(indices, dtype=np.int64)
+    j = np.searchsorted(support, indices)
+    hit = np.append(support, -1)[j] == indices
+    out = np.zeros((phasors.shape[0], indices.size), dtype=complex)
+    out[:, hit] = phasors[:, j[hit]]
+    return out
 
 
 class ArraySignal:
@@ -226,41 +74,46 @@ class ArraySignal:
     vector ``support`` of non-negative line indices shared by all antennas
     and one complex ``(M, L)`` matrix ``phasors``: row ``m`` holds antenna
     ``m``'s coefficients at those indices, an exact zero where the antenna
-    has no line.  As in :class:`LineSpectrum`, the coefficient at ``-k`` is
-    the conjugate of the one at ``+k``, the one at 0 is real, and
-    coefficients below ``PRUNE_THRESHOLD`` are dropped.
+    has no line.  The coefficient at ``-k`` is the conjugate of the one at
+    ``+k`` and is not stored.  :meth:`_store` is the one place where
+    repeated lines superpose, the coefficient at 0 is made real, the grid
+    range is checked and coefficients below ``PRUNE_THRESHOLD`` are dropped.
     """
 
     __slots__ = ("grid", "support", "phasors")
 
-    def __init__(self, per_antenna: Iterable[LineSpectrum]):
+    def __init__(self, per_antenna: Iterable["LineSpectrum"]):
         specs = tuple(per_antenna)
         if not specs:
             raise ValueError("need at least one antenna spectrum")
         grid = specs[0].grid
         if any(s.grid != grid for s in specs):
             raise GridMismatchError("antenna spectra must share one grid")
-        support = sorted(set().union(*(s.indices() for s in specs)))
-        phasors = [[s.coefficient(k) for k in support] for s in specs]
-        self._store(grid, support, phasors)
+        support = np.unique(np.concatenate([s.support for s in specs]))
+        columns = [_columns(s.support, s.phasors, support) for s in specs]
+        self._store(grid, support, np.concatenate(columns))
 
     @classmethod
     def from_phasors(cls, grid: FrequencyGrid, support, phasors) -> "ArraySignal":
         """Signal whose antenna ``m`` has coefficient ``phasors[m, j]`` at
-        line ``support[j] >= 0``; repeated indices superpose in order."""
+        line ``support[j] >= 0``; repeated indices superpose in order.  A
+        :class:`LineSpectrum` takes one row."""
         signal = object.__new__(cls)
         signal._store(grid, support, phasors)
         return signal
 
     def _store(self, grid, support, phasors):
-        support = np.asarray(support, dtype=np.int64)
-        phasors = np.asarray(phasors, dtype=complex)
-        lines, column = np.unique(support, return_inverse=True)
-        if lines.size and (lines[0] < 0 or lines[-1] > grid.max_index):
+        try:
+            lines = np.asarray(support, dtype=np.int64)
+            in_range = not lines.size or 0 <= lines.min() <= lines.max() <= grid.max_index
+        except OverflowError:  # an index beyond 64 bits
+            in_range = False
+        if not in_range:
             raise GridRangeError(
                 f"line indices must lie in [0, {grid.max_index}] on this grid"
             )
-        merged = np.zeros((phasors.shape[0], lines.size), dtype=complex)
+        lines, column = np.unique(lines, return_inverse=True)
+        merged = np.zeros((np.shape(phasors)[0], lines.size), dtype=complex)
         np.add.at(merged, (slice(None), column), phasors)
         if lines.size and lines[0] == 0:
             merged[:, 0] = merged[:, 0].real
@@ -274,19 +127,18 @@ class ArraySignal:
         object.__setattr__(self, "phasors", merged)
 
     def __setattr__(self, name, value):
-        raise AttributeError("ArraySignal is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def num_antennas(self) -> int:
         return self.phasors.shape[0]
 
     @property
-    def per_antenna(self) -> tuple[LineSpectrum, ...]:
+    def per_antenna(self) -> tuple["LineSpectrum", ...]:
         """One :class:`LineSpectrum` per antenna: the rows of ``phasors``."""
-        support = self.support.tolist()
         return tuple(
-            LineSpectrum(self.grid, {k: c for k, c in zip(support, row) if c})
-            for row in self.phasors.tolist()
+            LineSpectrum.from_phasors(self.grid, self.support, row[None])
+            for row in self.phasors
         )
 
     def coefficients(self, index: int) -> np.ndarray:
@@ -305,7 +157,8 @@ class ArraySignal:
         return tuple(self.support.tolist())
 
     def line_powers(self, index: int) -> np.ndarray:
-        """Per-port power of the line, as :meth:`LineSpectrum.line_power`."""
+        """Per-port mean-square power of the line: ``A**2/2`` for a cosine
+        of amplitude A, ``A**2`` for the constant at index 0."""
         c = self.coefficients(index)
         mag2 = c.real * c.real + c.imag * c.imag
         return mag2 if index == 0 else 2.0 * mag2
@@ -322,6 +175,136 @@ class ArraySignal:
             and np.array_equal(self.support, other.support)
             and np.array_equal(self.phasors, other.phasors)
         )
+
+
+class LineSpectrum(ArraySignal):
+    """Immutable set of phasor lines of a real signal on a shared grid: the
+    one-antenna :class:`ArraySignal`, whose ``(1, L)`` matrix ``phasors``
+    holds the coefficients at the non-negative lines ``support``.
+
+    The coefficient at ``-k`` is the conjugate of the one at ``+k``, and the
+    coefficient at 0 (when present) is real.  Construction accepts one-sided
+    or two-sided maps; a two-sided map must already be conjugate-symmetric.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, grid: FrequencyGrid, lines: Mapping[int, complex] = ()):
+        half: dict[int, complex] = {}
+        for k, v in dict(lines).items():
+            want = complex(v) if k >= 0 else complex(v).conjugate()
+            have = half.setdefault(abs(k), want)
+            if abs(have - want) > 1e-9 * max(abs(have), 1.0):
+                raise ValueError(f"conjugate symmetry violated at index {abs(k)}")
+        dc = half.get(0, 0j)
+        if abs(dc.imag) > 1e-9 * max(abs(dc), 1.0):
+            raise ValueError("zero-frequency coefficient must be real")
+        self._store(grid, list(half), [list(half.values())])
+
+    @classmethod
+    def from_real_tones(
+        cls, grid: FrequencyGrid, terms: Iterable[tuple[int, float, float]]
+    ) -> "LineSpectrum":
+        """Build a spectrum from ``(index, amplitude, phase)`` cosine terms.
+
+        Repeated indices superpose.  A term at index 0 contributes the
+        constant ``amplitude*cos(phase)``.
+        """
+        indices, coefficients = [], []
+        for k, amp, phase in terms:
+            if k < 0:
+                raise GridRangeError("tone index must be >= 0")
+            indices.append(k)
+            coefficients.append(
+                amp * np.cos(phase) if k == 0 else 0.5 * amp * np.exp(1j * phase)
+            )
+        return cls.from_phasors(grid, indices, [coefficients])
+
+    # -- inspection ---------------------------------------------------------
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.support.size
+
+    def indices(self) -> tuple[int, ...]:
+        """Sorted non-negative line indices present in the spectrum."""
+        return self.line_indices()
+
+    def items(self):
+        """Signed ``(index, coefficient)`` pairs in ascending index order."""
+        half = list(zip(self.support.tolist(), self.phasors[0].tolist()))
+        return iter([(-k, c.conjugate()) for k, c in reversed(half) if k] + half)
+
+    def coefficient(self, index: int) -> complex:
+        return complex(self.coefficients(index)[0])
+
+    def amplitude(self, index: int) -> float:
+        """Amplitude of the real cosine at ``index >= 0`` (0 if absent)."""
+        c = self.coefficient(abs(index))
+        return abs(c) if index == 0 else 2.0 * abs(c)
+
+    def phase(self, index: int) -> float:
+        return float(np.angle(self.coefficient(index)))
+
+    def as_real_tones(self) -> list[tuple[int, float, float]]:
+        """``(index, amplitude, phase)`` triples, one per non-negative line."""
+        return [(k, self.amplitude(k), self.phase(k)) for k in self.indices()]
+
+    def line_power(self, index: int) -> float:
+        """Mean-square power carried by the line: ``A**2/2`` for a cosine of
+        amplitude A, ``A**2`` for the constant at index 0."""
+        return float(self.line_powers(index)[0])
+
+    def total_power(self) -> float:
+        """Mean-square power of the whole signal (Parseval sum)."""
+        return float(sum(map(self.line_power, self.indices())))
+
+    def conjugate_symmetry_defect(self) -> float:
+        """Largest ``|c(-k) - conj(c(+k))|``; always zero, since only the
+        non-negative half is stored and the other half is its conjugate."""
+        return 0.0
+
+    def evaluate(self, t) -> np.ndarray:
+        """Evaluate the real signal at times ``t`` (seconds, array-like)."""
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape, dtype=float)
+        for k, c in zip(self.support.tolist(), self.phasors[0].tolist()):
+            if k == 0:
+                out += c.real
+            else:
+                out += 2.0 * (c * np.exp(1j * self.grid.omega(k) * t)).real
+        return out
+
+    # -- algebra ------------------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, LineSpectrum):
+            return NotImplemented
+        if other.grid != self.grid:
+            raise GridMismatchError("cannot add spectra on different grids")
+        return LineSpectrum.from_phasors(
+            self.grid,
+            np.concatenate((self.support, other.support)),
+            np.concatenate((self.phasors, other.phasors), axis=1),
+        )
+
+    def scaled(self, factor: float) -> "LineSpectrum":
+        """Spectrum of the signal multiplied by a real factor."""
+        return LineSpectrum.from_phasors(self.grid, self.support, factor * self.phasors)
+
+    def allclose(self, other: "LineSpectrum", rtol: float = 1e-9, atol: float = 1e-12) -> bool:
+        """Per-line comparison over the union of present indices."""
+        if other.grid != self.grid:
+            return False
+        support = np.union1d(self.support, other.support)
+        a, b = (_columns(s.support, s.phasors, support) for s in (self, other))
+        return bool(np.all(np.abs(a - b) <= atol + rtol * np.maximum(np.abs(a), np.abs(b))))
+
+    def __repr__(self):
+        lines = ", ".join(
+            f"{k}: {c:.6g}" for k, c in zip(self.support.tolist(), self.phasors[0].tolist())
+        )
+        return f"LineSpectrum(grid={self.grid!r}, lines={{{lines}}})"
 
 
 def tone(grid: FrequencyGrid, amplitude: float, freq_index: int, phase: float = 0.0) -> LineSpectrum:
@@ -377,13 +360,7 @@ def sample_waveform(s: LineSpectrum, periods: int, samples_per_period: int) -> S
         )
     n = int(periods) * int(samples_per_period)
     t = np.arange(n) * (s.grid.fundamental_period / samples_per_period)
-    z = np.zeros(n, dtype=complex)
-    for k, c in s.items():
-        z += c * np.exp(1j * s.grid.omega(k) * t)
-    peak = float(np.max(np.abs(z))) if n and np.any(z) else 1.0
-    if float(np.max(np.abs(z.imag), initial=0.0)) > 1e-12 * max(peak, 1e-300):
-        raise ValueError("sampled waveform has a non-negligible imaginary residue")
-    return SampledWaveform(z.real, samples_per_period / s.grid.fundamental_period)
+    return SampledWaveform(s.evaluate(t), samples_per_period / s.grid.fundamental_period)
 
 
 def estimate_lines(w: SampledWaveform, grid: FrequencyGrid) -> LineSpectrum:
@@ -407,5 +384,5 @@ def estimate_lines(w: SampledWaveform, grid: FrequencyGrid) -> LineSpectrum:
     if 2 * grid.max_index * periods >= n:
         raise AliasingError("sample rate too low for the grid max_index")
     spectrum = np.fft.fft(samples) / n
-    lines = {k: spectrum[k * periods] for k in range(grid.max_index + 1)}
-    return LineSpectrum(grid, lines)
+    lines = np.arange(grid.max_index + 1)
+    return LineSpectrum.from_phasors(grid, lines, spectrum[None, lines * periods])

@@ -131,6 +131,21 @@ class TestParseConfig:
             parse(doc)
         assert err.value.field == field
 
+    def test_sweep_points_bounded(self):
+        # a bound on antennas x sweep points: the benchmark's largest array
+        # fits, a sweep the size of 1e18 points does not
+        wide = base_config(geometry={"num_antennas": 1024, "element_delay": 1.0 / 26.0})
+        assert parse(dict(wide, sweep_points=4096)).sweep_points == 4096
+        for doc in (
+            base_config(sweep_points=1e18),
+            dict(wide, sweep_points=2**14 + 1),
+            # a baseline sweeps one chunk of trials x sweep points at once
+            base_config(sweep_points=2**14 + 1, baseline={"trials": 1024}),
+        ):
+            with pytest.raises(ConfigError) as err:
+                parse(doc)
+            assert err.value.field == "sweep_points"
+
     def test_round_trip(self):
         for doc in (
             base_config(),
@@ -278,6 +293,36 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", "--config", path, "--out", str(out), "--points", "64"]) == 0
         assert len((out / "pattern_13.csv").read_text().splitlines()) == 65
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_points_override_bounded(self, tmp_path, capsys, command):
+        path = self.write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        argv = [command, "--config", path, "--out", str(out), "--points", "1000000000000"]
+        if command == "sweep":
+            argv += ["--line", "13"]
+        assert main(argv) == 2
+        assert "sweep_points" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_points_override_replaces_an_out_of_bound_field(self, tmp_path, command):
+        # 2 antennas x 2**24 points exceeds the bound; --points 64 replaces
+        # the field before it is checked
+        path = self.write_config(tmp_path, base_config(sweep_points=2**24))
+        out = tmp_path / "out"
+        argv = [command, "--config", path, "--out", str(out), "--points", "64"]
+        if command == "sweep":
+            argv += ["--line", "13"]
+        assert main(argv) == 0
+        assert len((out / "pattern_13.csv").read_text().splitlines()) == 65
+
+    def test_seed_override_checked_like_the_field(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out), "--seed", str(2**63)]) == 2
+        assert "seed: must fit in 64 bits" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_recorded(self, tmp_path):
         path = self.write_config(tmp_path, base_config(sweep_points=64))

@@ -1,7 +1,12 @@
 """EVM / ACLR / array-gain metrics at ports and over the air."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imdbeam import (
     ArrayGeometry,
@@ -102,6 +107,13 @@ class TestAclr:
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.identity())
         assert aclr(y, BAND) == (float("-inf"), float("-inf"))
 
+    def test_dc_line_carries_its_squared_amplitude(self):
+        # a constant of amplitude 0.5 carries 0.25, a cosine of amplitude 1 0.5
+        spectrum = LineSpectrum(GRID, {0: 0.5, 9: 0.5})
+        lower, upper = aclr(spectrum, BandDefinition.around((8, 12), 8))
+        assert lower == pytest.approx(10 * np.log10(0.25 / 0.5), abs=1e-12)
+        assert upper == float("-inf")
+
     def test_zero_in_band_power(self):
         with pytest.raises(ValueError):
             aclr(tone(GRID, 1.0, 20), BAND)
@@ -198,8 +210,108 @@ class TestPortVsOtaReport:
             assert rep.array_gain_by_line[7] < 1.9
             assert rep.aclr_upper_db < reports[0].aclr_upper_db
 
+    def test_reference_tone_outside_band_rejected(self):
+        # the band's in-band interval (8, 10) leaves out the tone at 11
+        a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
+        sig = transmit(a, CUBIC, BAND)
+        with pytest.raises(ValueError, match="index 11 lies outside the in-band"):
+            port_vs_ota_report(sig, a, BandDefinition.around((8, 10), 4), [TAU_SU])
+
     def test_direction_far_from_beams(self):
         a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
         sig = transmit(a, CUBIC, BAND)
         (report,) = port_vs_ota_report(sig, a, BAND, [-0.03])[2:]
         assert all(g < 1.0 for g in report.array_gain_by_line.values())
+
+
+@st.composite
+def port_scenarios(draw):
+    """Random two-tone plan, device of degree <= 9, array of M <= 8 and up to
+    three receive directions."""
+    k1 = draw(st.integers(1, 12))
+    k2 = k1 + draw(st.integers(1, 8))
+    coefficients = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9))
+    assume(any(abs(a) > 1e-3 for a in coefficients))
+    width = draw(st.integers(1, k1))
+    max_index = max(len(coefficients) * k2, k2 + width) + draw(st.integers(0, 5))
+    grid = FrequencyGrid(2 * np.pi, max_index)
+    geo = ArrayGeometry(draw(st.integers(1, 8)), draw(st.floats(0.01, 0.5)))
+    tau = st.floats(-geo.element_delay, geo.element_delay)
+    assignment = steer_tones(
+        grid,
+        geo,
+        {k1: draw(tau), k2: draw(tau)},
+        base_phases={k1: draw(st.floats(-np.pi, np.pi)), k2: draw(st.floats(-np.pi, np.pi))},
+        amplitudes={k1: draw(st.floats(0.1, 1.5)), k2: draw(st.floats(0.1, 1.5))},
+    )
+    keep = (0, max_index) if draw(st.booleans()) else None
+    band = BandDefinition.around((k1, k2), width, keep)
+    directions = draw(st.lists(tau, max_size=3))
+    return assignment, PolynomialNonlinearity(tuple(coefficients)), band, directions
+
+
+def loop_interval_power(spectrum, interval):
+    return sum(
+        spectrum.line_power(k) for k in spectrum.indices() if interval[0] <= k <= interval[1]
+    )
+
+
+def loop_aclr(spectrum, band):
+    """Reference ACLR: a Python loop over the lines of one spectrum."""
+    p_in = loop_interval_power(spectrum, band.in_band)
+    if p_in <= 0.0:
+        raise ValueError("in-band power is zero")
+    sides = (loop_interval_power(spectrum, iv) for iv in (band.adjacent_lower, band.adjacent_upper))
+    return tuple(10.0 * math.log10(p / p_in) if p > 0.0 else float("-inf") for p in sides)
+
+
+def loop_evm(spectrum, reference_tones, band):
+    """Reference EVM: the least-squares gain fit as a Python loop over the
+    lines of one spectrum."""
+    refs = {}
+    for k, amp, phase in reference_tones:
+        refs[k] = refs.get(k, 0j) + 0.5 * amp * cmath.exp(1j * phase)
+    ref_power = sum(abs(c) ** 2 for c in refs.values())
+    g = sum(refs[k].conjugate() * spectrum.coefficient(k) for k in refs) / ref_power
+    lo, hi = band.in_band
+    in_band = set(refs) | {k for k in spectrum.indices() if lo <= k <= hi}
+    err = sum(abs(spectrum.coefficient(k) - g * refs.get(k, 0j)) ** 2 for k in in_band)
+    sig = sum(abs(g * c) ** 2 for c in refs.values())
+    if sig == 0.0:
+        raise ValueError("observed in-band signal is zero")
+    return math.sqrt(err / sig)
+
+
+def assert_same_metric(got, expected):
+    assert got == expected or got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+class TestReportMatchesScalarMetrics:
+    @settings(max_examples=60, deadline=None)
+    @given(port_scenarios())
+    def test_matrix_metrics_equal_per_spectrum_metrics(self, scenario):
+        # the matrix path against the scalar evm and aclr on each port's (and
+        # each received) spectrum, and both against Python loops over lines
+        assignment, f, band, directions = scenario
+        sig = transmit(assignment, f, band)
+        tones = list(zip(assignment.tone_indices, assignment.amplitudes))
+
+        def refs(m):
+            return [(k, a, assignment.phases[m][j]) for j, (k, a) in enumerate(tones)]
+
+        located = [(spec, refs(m)) for m, spec in enumerate(sig.per_antenna)]
+        located += [(far_field_receive(sig, tau), refs(0)) for tau in directions]
+        try:
+            expected = [(loop_evm(spec, r, band), *loop_aclr(spec, band)) for spec, r in located]
+        except ValueError:
+            with pytest.raises(ValueError):
+                port_vs_ota_report(sig, assignment, band, directions)
+            return
+        scalar = [(evm(spec, r, band), *aclr(spec, band)) for spec, r in located]
+        reports = port_vs_ota_report(sig, assignment, band, directions)
+        assert len(reports) == len(expected)
+        for report, one_row, reference in zip(reports, scalar, expected):
+            got = (report.evm, report.aclr_lower_db, report.aclr_upper_db)
+            for a, b, c in zip(got, one_row, reference):
+                assert_same_metric(a, b)
+                assert_same_metric(b, c)

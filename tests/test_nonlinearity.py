@@ -185,6 +185,15 @@ class TestDistortionTermsNearBand:
         near = distortion_terms_near_band(terms, BAND)
         assert sorted(k for k, _, _ in near) == [8, 11]
 
+    def test_cancelled_fundamentals_keep_every_product(self):
+        # at alpha = -4/9 gain compression cancels both fundamentals exactly,
+        # so the expansion starts with the products; all six are distortion
+        terms = two_tone_third_order_terms(10, 13, 0.0, 0.0, -4 / 9)
+        assert [k for k, _, _ in terms] == [36, 16, 33, 7, 30, 39]
+        band = BandDefinition.around((10, 13), 3, keep_window=(0, 60))
+        near = distortion_terms_near_band(terms, band)
+        assert sorted(k for k, _, _ in near) == [7, 16, 30, 33, 36, 39]
+
 
 class TestBandDefinition:
     def test_around(self):
@@ -221,3 +230,12 @@ class TestBandFilter:
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.third_order(0.1))
         band = BandDefinition.around((8, 12), 4, keep_window=(0, 64))
         assert band_filter(y, band) == y
+
+
+class TestSpectrumInSpectrumOut:
+    def test_line_spectrum_stays_a_line_spectrum(self):
+        x = two_tone()
+        y = apply_polynomial(x, PolynomialNonlinearity.third_order(0.1))
+        assert type(y) is LineSpectrum
+        assert type(band_filter(y, BAND)) is LineSpectrum
+        assert type(band_filter(x, BAND)) is LineSpectrum

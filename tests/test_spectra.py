@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdbeam import (
+    PRUNE_THRESHOLD,
     AliasingError,
     FrequencyGrid,
     GridMismatchError,
@@ -242,3 +245,89 @@ class TestEvaluate:
         s = tone(GRID, 1.0, 9, 0.2)
         assert s.scaled(2.0).amplitude(9) == pytest.approx(2.0)
         assert s.scaled(-1.0).coefficient(9) == -s.coefficient(9)
+
+
+SMALL_GRID = FrequencyGrid(2 * np.pi, 16)
+
+
+class DictSpectrum:
+    """Reference model of a line spectrum as a signed ``index -> coefficient``
+    dict: one- or two-sided input (the first value seen for ``|k|`` wins),
+    the conjugate mirrored to ``-k``, the coefficient at 0 made real, lines
+    below PRUNE_THRESHOLD dropped, and every operation done per signed line."""
+
+    def __init__(self, lines):
+        half = {}
+        for k, c in lines.items():
+            half.setdefault(abs(k), complex(c) if k >= 0 else complex(c).conjugate())
+        self.lines = {}
+        for k, c in half.items():
+            c = complex(c.real, 0.0) if k == 0 else c
+            if abs(c) >= PRUNE_THRESHOLD:
+                self.lines[k] = c
+                if k:
+                    self.lines[-k] = c.conjugate()
+
+    def __add__(self, other):
+        merged = dict(self.lines)
+        for k, c in other.lines.items():
+            merged[k] = merged.get(k, 0j) + c
+        return DictSpectrum(merged)
+
+    def scaled(self, factor):
+        return DictSpectrum({k: factor * c for k, c in self.lines.items()})
+
+    def items(self):
+        return sorted(self.lines.items())
+
+    def line_power(self, k):
+        c = self.lines.get(abs(k), 0j)
+        mag2 = c.real * c.real + c.imag * c.imag
+        return mag2 if k == 0 else 2.0 * mag2
+
+    def evaluate(self, t):
+        out = np.zeros(t.shape)
+        for k, c in self.items():
+            if k == 0:
+                out += c.real
+            elif k > 0:
+                out += 2.0 * (c * np.exp(1j * SMALL_GRID.omega(k) * t)).real
+        return out
+
+
+SMALL = st.sampled_from([0.0, 1e-16, 5e-15, 2e-14])  # below and just above the threshold
+PART = st.one_of(SMALL, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def line_maps(draw):
+    """One-sided line map on SMALL_GRID (the DC imaginary part within the
+    realness tolerance) and a conjugate-symmetric two-sided version of it in
+    shuffled order."""
+    ks = draw(st.lists(st.integers(0, SMALL_GRID.max_index), max_size=6, unique=True))
+    one_sided = {
+        k: complex(draw(PART), draw(st.sampled_from([0.0, 1e-12])) if k == 0 else draw(PART))
+        for k in ks
+    }
+    pairs = list(one_sided.items())
+    pairs += [(-k, c.conjugate()) for k, c in one_sided.items() if k and draw(st.booleans())]
+    return one_sided, dict(draw(st.permutations(pairs)))
+
+
+class TestAgainstDictReference:
+    @settings(max_examples=200, deadline=None)
+    @given(line_maps(), line_maps(), st.floats(-3.0, 3.0))
+    def test_matches_dict_model(self, maps_a, maps_b, factor):
+        (one_a, two_a), (one_b, _) = maps_a, maps_b
+        a, b = LineSpectrum(SMALL_GRID, one_a), LineSpectrum(SMALL_GRID, one_b)
+        ref_a, ref_b = DictSpectrum(one_a), DictSpectrum(one_b)
+        assert LineSpectrum(SMALL_GRID, two_a) == a
+        assert list(DictSpectrum(two_a).items()) == ref_a.items()
+        t = np.linspace(0.0, 1.0, 7)
+        for got, ref in ((a, ref_a), (a + b, ref_a + ref_b), (a.scaled(factor), ref_a.scaled(factor))):
+            assert list(got.items()) == ref.items()
+            assert got.indices() == tuple(k for k, _ in ref.items() if k >= 0)
+            for k in range(-SMALL_GRID.max_index, SMALL_GRID.max_index + 1):
+                assert got.line_power(k) == ref.line_power(k)
+                assert got.coefficient(k) == ref.lines.get(k, 0j)
+            np.testing.assert_array_equal(got.evaluate(t), ref.evaluate(t))
