@@ -4,13 +4,18 @@ behavioral device model.
 Each trial adds to every antenna a fixed-power line with an independent
 uniform random phase at each configured distortion index, so distortion is
 uncorrelated across antennas and its trial-averaged radiation is flat in
-direction.  Phases come from a keyed counter-based generator: every draw is
-a pure function of (seed, trial, antenna, line), which makes results
-reproducible across platforms, orderings, and parallel schedules.
+direction.  Phases come from a keyed counter-based hash in the manner of
+Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): every
+draw is a pure function of (seed, trial, antenna, line), which makes results
+reproducible across platforms, orderings, and parallel schedules.  The hash
+chains the four 64-bit key words through splitmix64 steps in numpy ``uint64``
+arithmetic, so one call draws the phases of a whole trial chunk.
+
+The trial-averaged pattern is a quadratic form in the per-trial coefficient
+vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
+``mean_pattern`` accumulates ``G`` and sweeps it once.
 """
 
-import hashlib
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,12 +62,45 @@ class NoiseModelConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-def uniform_phase(seed: int, trial: int, antenna: int, line: int) -> float:
+# splitmix64 (Steele, Lea and Flood, OOPSLA 2014): Weyl increment and the
+# multipliers of its 64-bit finaliser
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finaliser, a bijection on ``uint64`` with full avalanche."""
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
+
+
+def _phase_from_hash(h: np.ndarray) -> np.ndarray:
+    """Top 53 bits of a ``uint64`` hash as a phase; the largest hash maps to
+    ``TWO_PI * (1 - 2**-53)``, which rounds strictly below ``TWO_PI``."""
+    return (h >> 11).astype(np.float64) * (TWO_PI * 2.0**-53)
+
+
+def uniform_phase(seed, trial, antenna, line):
     """Deterministic uniform phase on [0, 2*pi) keyed by the full draw
-    coordinate; no shared generator state."""
-    key = struct.pack(">4q", seed, trial, antenna, line)
-    digest = hashlib.blake2b(key, digest_size=8).digest()
-    return TWO_PI * (int.from_bytes(digest, "big") / 2.0**64)
+    coordinate; no shared generator state.
+
+    Each key is an int64 scalar or array.  The keys broadcast against each
+    other: the result has their broadcast shape (a float for four scalars),
+    and every element equals the scalar call on its coordinate.  The
+    words are absorbed in the order seed, line, trial, antenna, each by one
+    splitmix64 step ``h <- mix64(((h ^ word) + 1) * GAMMA)``.
+    """
+    keys = (seed, line, trial, antenna)
+    shape = np.broadcast_shapes(*(np.shape(k) for k in keys))
+    # h stays an array of at least one element: uint64 ufuncs wrap silently
+    # on arrays, while operations on numpy scalars warn on overflow
+    h = np.zeros(1, np.uint64)
+    for k in keys:
+        word = np.asarray(k, np.int64).view(np.uint64)
+        h = _mix64((h ^ word) * _GAMMA + _GAMMA)
+    return _phase_from_hash(h).reshape(shape)[()]
 
 
 def independent_noise_transmit(
@@ -76,13 +114,9 @@ def independent_noise_transmit(
     amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
     if amp == 0.0 or not cfg.distortion_line_indices:
         return desired
-    lines = cfg.distortion_line_indices
-    phases = np.array(
-        [
-            [uniform_phase(cfg.seed, trial, m, k) for k in lines]
-            for m in range(desired.num_antennas)
-        ]
-    )
+    lines = np.array(cfg.distortion_line_indices)
+    antennas = np.arange(desired.num_antennas)
+    phases = uniform_phase(cfg.seed, trial, antennas[:, None], lines[None, :])
     return ArraySignal.from_phasors(
         desired.grid,
         np.concatenate((desired.support, lines)),
@@ -103,7 +137,8 @@ def mean_pattern(
 
     Trials are accumulated in fixed-size chunks in a fixed order, so the
     result is bit-identical for any ``workers`` count; chunks may be
-    evaluated concurrently.
+    evaluated concurrently.  Each chunk contributes its coefficient
+    covariance ``sum_t conj(c_t) c_t^T``; the total is swept once.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
@@ -111,32 +146,31 @@ def mean_pattern(
     m_count = geometry.num_antennas
     amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
     c_des = desired.coefficients(freq_index)
+    antennas = np.arange(m_count)
 
-    def chunk_power_sum(bounds):
+    def chunk_covariance(bounds):
         lo, hi = bounds
-        phases = np.array(
-            [
-                [uniform_phase(cfg.seed, t, m, freq_index) for m in range(m_count)]
-                for t in range(lo, hi)
-            ]
-        )
+        trials = np.arange(lo, hi)
+        phases = uniform_phase(cfg.seed, trials[:, None], antennas[None, :], freq_index)
         coeffs = c_des[None, :] + 0.5 * amp * np.exp(1j * phases)
-        received = coeffs @ steer
-        return (2.0 * np.abs(received) ** 2).sum(axis=0)
+        return coeffs.conj().T @ coeffs
 
     chunks = [
         (lo, min(lo + TRIAL_CHUNK, cfg.trials))
         for lo in range(0, cfg.trials, TRIAL_CHUNK)
     ]
     if workers <= 1:
-        partials = [chunk_power_sum(c) for c in chunks]
+        partials = [chunk_covariance(c) for c in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_power_sum, chunks))
-    total = np.zeros(num_points)
+            partials = list(pool.map(chunk_covariance, chunks))
+    total = np.zeros((m_count, m_count), dtype=complex)
     for p in partials:
         total += p
-    powers = total / cfg.trials
+    # 2 Re(s^H G s) per steering column s; it is >= 0 exactly, so a negative
+    # value is rounding near a null
+    quad = ((total @ steer) * steer.conj()).sum(axis=0).real
+    powers = np.maximum(2.0 * quad / cfg.trials, 0.0)
     # expected per-port line power: desired line plus the configured noise
     port_total = desired.port_line_power_total(freq_index) + (
         m_count * cfg.per_antenna_line_power

@@ -2,11 +2,16 @@
 direction-flat mean patterns, and the contrast report against the
 behavioral model."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imdbeam import (
     ArrayGeometry,
+    ArraySignal,
     BandDefinition,
     FrequencyGrid,
     GridMismatchError,
@@ -21,6 +26,9 @@ from imdbeam import (
     transmit,
     uniform_phase,
 )
+from imdbeam.array import steering
+from imdbeam.baseline import TRIAL_CHUNK, _phase_from_hash
+from imdbeam.spectra import TWO_PI
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 BAND = BandDefinition.around((8, 12), 4)
@@ -206,3 +214,157 @@ class TestModelContrastReport:
             model_contrast_report(bp, mean_pattern(cfg, desired, GEO, 7, 256))
         with pytest.raises(GridMismatchError):
             model_contrast_report(bp, mean_pattern(cfg, desired, GEO, 13, 128))
+
+
+class TestUniformPhaseVectorised:
+    """The broadcasting draw: its range, its key domain and its agreement
+    with the scalar call and with both callers."""
+
+    def test_largest_hash_maps_strictly_below_two_pi(self):
+        top = _phase_from_hash(np.array([2**64 - 1], dtype=np.uint64))[0]
+        assert 0.0 < top < TWO_PI
+        assert _phase_from_hash(np.array([0], dtype=np.uint64))[0] == 0.0
+
+    def test_broadcast_equals_scalar_calls_at_key_extremes(self):
+        seeds = np.array([-(2**63), -5, -1, 0, 1, 2**63 - 1])
+        trials = np.array([0, 1, 1023, 1024, 2**40])
+        antennas = np.array([0, 1, 63, 1023])
+        lines = np.array([1, 13, 10**13])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint64 overflow warnings
+            grid = uniform_phase(
+                seeds[:, None, None, None],
+                trials[None, :, None, None],
+                antennas[None, None, :, None],
+                lines[None, None, None, :],
+            )
+            assert grid.shape == (6, 5, 4, 3)
+            for (i, t, m, k), phase in np.ndenumerate(grid):
+                scalar = uniform_phase(
+                    int(seeds[i]), int(trials[t]), int(antennas[m]), int(lines[k])
+                )
+                assert np.ndim(scalar) == 0
+                assert scalar == phase
+        assert np.all((grid >= 0.0) & (grid < TWO_PI))
+        assert np.unique(grid).size == grid.size
+
+    def test_both_callers_draw_the_keyed_phase(self):
+        _, desired = scenario()
+        power = 0.004
+        cfg = NoiseModelConfig((13, 7), power, 3, -77)
+        half_amp = 0.5 * np.sqrt(2.0 * power)
+        for trial in range(3):
+            noisy = independent_noise_transmit(desired, cfg, trial)
+            for m in range(2):
+                for k in (13, 7):
+                    expected = half_amp * np.exp(1j * uniform_phase(-77, trial, m, k))
+                    assert noisy.coefficients(k)[m] == expected
+        # mean_pattern over the same keys averages the per-trial sweeps
+        sweeps = [
+            pattern_sweep(independent_noise_transmit(desired, cfg, t), 13, GEO, 64)
+            for t in range(3)
+        ]
+        expected = np.mean([sp.powers for sp in sweeps], axis=0)
+        mp = mean_pattern(cfg, desired, GEO, 13, 64)
+        np.testing.assert_allclose(
+            mp.powers, expected, rtol=0, atol=1e-12 * expected.max()
+        )
+
+
+class TestUniformPhaseStatistics:
+    """A weak mixer that correlated neighbouring keys would make the
+    "independent" baseline beamform by itself; 2**17 draws per check."""
+
+    TRIALS, ANTENNAS = 2048, 64
+
+    def draws(self, seed=11, trial0=0, antenna0=0, line=13):
+        return uniform_phase(
+            seed,
+            trial0 + np.arange(self.TRIALS)[:, None],
+            antenna0 + np.arange(self.ANTENNAS)[None, :],
+            line,
+        ).ravel()
+
+    def test_mean_and_variance_are_uniform(self):
+        phases = self.draws()
+        n = phases.size
+        # U[0, w): mean w/2, variance w**2/12, fourth central moment w**4/80
+        w = TWO_PI
+        assert abs(phases.mean() - w / 2) < 5 * np.sqrt(w**2 / 12 / n)
+        var_sd = w**2 * np.sqrt((1 / 80 - 1 / 144) / n)
+        assert abs(phases.var() - w**2 / 12) < 5 * var_sd
+
+    @pytest.mark.parametrize(
+        "shifted",
+        [
+            {"seed": 12},
+            {"trial0": 1},
+            {"antenna0": 1},
+            {"line": 14},
+        ],
+        ids=["seed", "trial", "antenna", "line"],
+    )
+    def test_keys_one_apart_are_uncorrelated(self, shifted):
+        a, b = self.draws(), self.draws(**shifted)
+        assert abs(np.mean(np.exp(1j * (a - b)))) < 5 / np.sqrt(a.size)
+
+
+def _direct_mean_powers(cfg, desired, geometry, k, taus):
+    """Reference for mean_pattern: the per-trial ``2 |c_t . s|**2`` average."""
+    steer = steering(geometry.num_antennas, desired.grid.omega(k) * taus)
+    c_des = desired.coefficients(k)
+    half_amp = 0.5 * np.sqrt(2.0 * cfg.per_antenna_line_power)
+    total = np.zeros(taus.size)
+    antennas = np.arange(geometry.num_antennas)
+    for t in range(cfg.trials):
+        phases = uniform_phase(cfg.seed, t, antennas, k)
+        received = (c_des + half_amp * np.exp(1j * phases)) @ steer
+        total += 2.0 * np.abs(received) ** 2
+    return total / cfg.trials
+
+
+class TestCovarianceSweep:
+    POINTS = 64
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        m_count=st.integers(1, 8),
+        trials=st.integers(1, 2 * TRIAL_CHUNK + 40).filter(lambda t: t % TRIAL_CHUNK),
+        power=st.sampled_from([0.0, 1e-6, 0.003, 2.0]),
+        des_re=st.floats(-1.0, 1.0),
+        des_im=st.floats(-1.0, 1.0),
+        null_at=st.none() | st.integers(0, POINTS - 1),
+        seed=st.integers(-(2**63), 2**63 - 1),
+    )
+    # more than one chunk, with and without noise
+    @example(
+        m_count=8, trials=TRIAL_CHUNK + 1, power=0.003, des_re=0.6, des_im=-0.2,
+        null_at=None, seed=5,
+    )
+    @example(
+        m_count=8, trials=2 * TRIAL_CHUNK + 7, power=0.0, des_re=0.3, des_im=0.4,
+        null_at=None, seed=-(2**63),
+    )
+    # a desired null on a sweep point, where rounding of the quadratic form
+    # gave a negative power
+    @example(
+        m_count=2, trials=1, power=0.0, des_re=1.0, des_im=0.0, null_at=0, seed=1
+    )
+    def test_matches_direct_per_trial_average(
+        self, m_count, trials, power, des_re, des_im, null_at, seed
+    ):
+        geometry = ArrayGeometry(m_count, 1.0 / 26.0)
+        taus = np.linspace(-geometry.element_delay, geometry.element_delay, self.POINTS)
+        # a desired line at the swept index with a phase progression across
+        # the array, so the pattern has a lobe and nulls besides the noise
+        c_des = (des_re + 1j * des_im) * np.exp(0.7j * np.arange(m_count))
+        if null_at is not None:
+            s = steering(m_count, GRID.omega(13) * taus[null_at])
+            c_des = c_des - (c_des @ s) / m_count * s.conj()
+        desired = ArraySignal.from_phasors(GRID, [13], c_des[:, None])
+        cfg = NoiseModelConfig((13,), power, trials, seed)
+        mp = mean_pattern(cfg, desired, geometry, 13, self.POINTS)
+        assert np.array_equal(mp.taus, taus)
+        ref = _direct_mean_powers(cfg, desired, geometry, 13, taus)
+        assert np.all(mp.powers >= 0.0)
+        np.testing.assert_allclose(mp.powers, ref, rtol=0, atol=1e-12 * ref.max())
