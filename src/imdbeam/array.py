@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFrequencyPlanError, GridRangeError, MissingLineError
 from .nonlinearity import BandDefinition, PolynomialNonlinearity, apply_polynomial, band_filter
-from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum
+from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum, _line_factor
 
 DEFAULT_SWEEP_POINTS = 1024
 
@@ -101,19 +101,17 @@ class SteeringAssignment:
 
     def antenna_spectrum(self, antenna: int) -> LineSpectrum:
         """Multi-tone input driving the given antenna's device."""
-        row = self.phases[antenna]
-        return LineSpectrum.from_real_tones(
-            self.grid,
-            [(k, a, p) for k, a, p in zip(self.tone_indices, self.amplitudes, row)],
-        )
+        row = self.input_signal().phasors[antenna]
+        return LineSpectrum.from_phasors(self.grid, self.tone_indices, row[None])
 
     def input_signal(self) -> ArraySignal:
         """Multi-tone inputs of all antennas' devices: row ``m`` is
         :meth:`antenna_spectrum` of antenna ``m``."""
+        factors = _line_factor(np.array(self.tone_indices))
         return ArraySignal.from_phasors(
             self.grid,
             self.tone_indices,
-            0.5 * np.array(self.amplitudes) * np.exp(1j * np.array(self.phases)),
+            np.array(self.amplitudes) / factors * np.exp(1j * np.array(self.phases)),
         )
 
 
@@ -171,6 +169,14 @@ def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     steer = steering(signal.num_antennas, omegas * tau_rx)
     received = np.sum(signal.phasors * steer, axis=0)
     return LineSpectrum.from_phasors(signal.grid, signal.support, received[None])
+
+
+def _received_power(signal: ArraySignal, freq_index: int, taus):
+    """Far-field power of line ``freq_index`` at the delay ``taus``, or at
+    each delay of an array ``taus``, as :func:`far_field_receive` gives it."""
+    omega = signal.grid.omega(freq_index)
+    received = signal.coefficients(freq_index) @ steering(signal.num_antennas, omega * taus)
+    return _line_factor(freq_index) * np.abs(received) ** 2
 
 
 @dataclass(frozen=True)
@@ -264,7 +270,7 @@ class Pattern:
     grid point (array gain at grid resolution); ``peak_taus`` lists every
     local maximum within grid-quantization tolerance of the global peak, so
     spatially aliased lines report all of their coherent directions instead
-    of pretending uniqueness.
+    of pretending uniqueness; a flat pattern reports its argmax alone.
     """
 
     freq_index: int
@@ -297,18 +303,16 @@ class Pattern:
 
 def _sweep_grid(
     signal: ArraySignal, freq_index: int, geometry: ArrayGeometry, num_points: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, float]:
     """Delays ``[-element_delay, +element_delay]`` (endpoints included) of a
-    sweep of line ``freq_index``, their ``(M, num_points)`` steering matrix,
-    and the sweep's coherence tolerance."""
+    sweep of line ``freq_index`` and the sweep's coherence tolerance."""
     if num_points < 16:
         raise ValueError("num_points must be >= 16")
     if geometry.num_antennas != signal.num_antennas:
         raise ValueError("geometry and signal disagree on the antenna count")
     taus = np.linspace(-geometry.element_delay, geometry.element_delay, num_points)
     omega = signal.grid.omega(freq_index)
-    tol = _coherence_tolerance(geometry.num_antennas, omega, float(taus[1] - taus[0]))
-    return taus, steering(geometry.num_antennas, omega * taus), tol
+    return taus, _coherence_tolerance(geometry.num_antennas, omega, float(taus[1] - taus[0]))
 
 
 def _build_pattern(
@@ -321,14 +325,14 @@ def _build_pattern(
     ipk = int(np.argmax(powers))
     peak_power = float(powers[ipk])
     mean_power = float(np.mean(powers))
-    if peak_power > 0.0:
-        floor = peak_power * (1.0 - peak_rel_tol)
+    floor = peak_power * (1.0 - peak_rel_tol)
+    if powers.min() >= floor:  # flat (all-zero included): one peak, no lobes
+        peak_taus = (float(taus[ipk]),)
+    else:
         left = np.concatenate(([-np.inf], powers[:-1]))
         right = np.concatenate((powers[1:], [-np.inf]))
         is_peak = (powers >= left) & (powers >= right) & (powers >= floor)
         peak_taus = tuple(float(t) for t in taus[is_peak])
-    else:
-        peak_taus = (float(taus[ipk]),)
     return Pattern(
         freq_index=freq_index,
         taus=taus,
@@ -351,10 +355,10 @@ def pattern_sweep(
 ) -> Pattern:
     """Received power of one line swept over ``num_points`` delays spanning
     ``[-element_delay, +element_delay]`` (endpoints included)."""
-    taus, steer, tol = _sweep_grid(signal, freq_index, geometry, num_points)
+    taus, tol = _sweep_grid(signal, freq_index, geometry, num_points)
     if not signal.has_line(freq_index):
         raise MissingLineError(f"no antenna carries a line at index {freq_index}")
-    powers = 2.0 * np.abs(signal.coefficients(freq_index) @ steer) ** 2
+    powers = _received_power(signal, freq_index, taus)
     return _build_pattern(
         freq_index, taus, powers, signal.port_line_power_total(freq_index), tol
     )

@@ -28,9 +28,10 @@ from .array import (
     Pattern,
     _build_pattern,
     _sweep_grid,
+    steering,
 )
 from .errors import GridMismatchError
-from .spectra import TWO_PI
+from .spectra import TWO_PI, _line_factor
 
 # Fixed accumulation chunk; identical partial sums for any worker count.
 TRIAL_CHUNK = 1024
@@ -111,16 +112,17 @@ def independent_noise_transmit(
     phase at every configured distortion index."""
     if not 0 <= trial < cfg.trials:
         raise ValueError(f"trial must lie in [0, {cfg.trials})")
-    amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
-    if amp == 0.0 or not cfg.distortion_line_indices:
+    if cfg.per_antenna_line_power == 0.0 or not cfg.distortion_line_indices:
         return desired
     lines = np.array(cfg.distortion_line_indices)
     antennas = np.arange(desired.num_antennas)
     phases = uniform_phase(cfg.seed, trial, antennas[:, None], lines[None, :])
+    magnitude = np.sqrt(cfg.per_antenna_line_power / _line_factor(lines))
+    noise = magnitude * np.exp(1j * phases)
     return ArraySignal.from_phasors(
         desired.grid,
         np.concatenate((desired.support, lines)),
-        np.concatenate((desired.phasors, 0.5 * amp * np.exp(1j * phases)), axis=1),
+        np.concatenate((desired.phasors, noise), axis=1),
     )
 
 
@@ -142,9 +144,10 @@ def mean_pattern(
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
-    taus, steer, tol = _sweep_grid(desired, freq_index, geometry, num_points)
+    taus, tol = _sweep_grid(desired, freq_index, geometry, num_points)
     m_count = geometry.num_antennas
-    amp = float(np.sqrt(2.0 * cfg.per_antenna_line_power))
+    steer = steering(m_count, desired.grid.omega(freq_index) * taus)
+    noise = np.sqrt(cfg.per_antenna_line_power / _line_factor(freq_index))
     c_des = desired.coefficients(freq_index)
     antennas = np.arange(m_count)
 
@@ -152,7 +155,7 @@ def mean_pattern(
         lo, hi = bounds
         trials = np.arange(lo, hi)
         phases = uniform_phase(cfg.seed, trials[:, None], antennas[None, :], freq_index)
-        coeffs = c_des[None, :] + 0.5 * amp * np.exp(1j * phases)
+        coeffs = c_des[None, :] + noise * np.exp(1j * phases)
         return coeffs.conj().T @ coeffs
 
     chunks = [
@@ -167,10 +170,10 @@ def mean_pattern(
     total = np.zeros((m_count, m_count), dtype=complex)
     for p in partials:
         total += p
-    # 2 Re(s^H G s) per steering column s; it is >= 0 exactly, so a negative
-    # value is rounding near a null
+    # line power of Re(s^H G s) per steering column s; it is >= 0 exactly, so
+    # a negative value is rounding near a null
     quad = ((total @ steer) * steer.conj()).sum(axis=0).real
-    powers = np.maximum(2.0 * quad / cfg.trials, 0.0)
+    powers = np.maximum(_line_factor(freq_index) * quad / cfg.trials, 0.0)
     # expected per-port line power: desired line plus the configured noise
     port_total = desired.port_line_power_total(freq_index) + (
         m_count * cfg.per_antenna_line_power

@@ -17,6 +17,7 @@ byte-identical outputs.
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -42,7 +43,6 @@ from .array import (
 from .baseline import (
     _I64_MAX,
     _I64_MIN,
-    TRIAL_CHUNK,
     ModelContrast,
     matched_noise_config,
     mean_pattern,
@@ -57,8 +57,8 @@ from .nonlinearity import (
 )
 from .spectra import FrequencyGrid
 
-# Largest complex matrix a sweep may form, in rows x sweep points: rows are
-# the antennas of a steering matrix, or the trials of one Monte Carlo chunk.
+# Largest complex matrix a run may form: a sweep's antennas x sweep points
+# steering matrix, and with a baseline its antennas x antennas covariance.
 # 2**24 elements take 256 MiB.
 MAX_SWEEP_ELEMENTS = 2**24
 
@@ -149,6 +149,10 @@ def _decode(text: str):
         raise ConfigError(
             "$", f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal beyond int's digit limit, or nesting beyond the
+        # recursion limit
+        raise ConfigError("$", f"invalid JSON: {e}") from None
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -325,12 +329,17 @@ def parse_config(text: str) -> ScenarioConfig:
                     )
         baseline = BaselineSettings(trials, line_indices)
 
-    rows = max(num_antennas, min(baseline.trials, TRIAL_CHUNK) if baseline else 0)
-    if rows * sweep_points > MAX_SWEEP_ELEMENTS:
+    if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
             "sweep_points",
-            f"must be at most {MAX_SWEEP_ELEMENTS // rows}: a sweep forms "
-            f"{rows} x sweep_points complex matrices",
+            f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}: a sweep forms "
+            f"{num_antennas} x sweep_points complex matrices",
+        )
+    if baseline is not None and num_antennas**2 > MAX_SWEEP_ELEMENTS:
+        raise ConfigError(
+            "geometry.num_antennas",
+            f"must be at most {math.isqrt(MAX_SWEEP_ELEMENTS)} with a baseline, "
+            "which forms num_antennas x num_antennas complex matrices",
         )
 
     # Every port line is at most sum_p |a_p| (A1 + A2)**p in magnitude, so no
@@ -752,6 +761,7 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imdbeam",

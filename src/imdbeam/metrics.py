@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySignal, SteeringAssignment, far_field_receive, steering
+from .array import ArraySignal, SteeringAssignment, _received_power, far_field_receive
 from .errors import MissingLineError
 from .nonlinearity import BandDefinition, _contains
-from .spectra import LineSpectrum, _columns
+from .spectra import LineSpectrum, _columns, _line_factor, _mag2
 
 
 @dataclass(frozen=True)
@@ -33,26 +33,18 @@ def array_gain(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
     """``|sum_m c_m e^{-i m omega tau}|**2 / sum_m |c_m|**2``; lies in
     ``[0, M]`` and equals M exactly when the per-antenna phases align at
     ``tau_rx``."""
-    cm = signal.coefficients(freq_index)
-    denom = float(np.sum(np.abs(cm) ** 2))
-    if denom == 0.0:
+    port_total = signal.port_line_power_total(freq_index)
+    if port_total == 0.0:
         raise MissingLineError(
             f"no line at index {freq_index}; array gain undefined"
         )
-    omega = signal.grid.omega(freq_index)
-    steer = steering(signal.num_antennas, omega * tau_rx)
-    return float(np.abs(np.sum(cm * steer)) ** 2 / denom)
-
-
-def _mag2(z: np.ndarray) -> np.ndarray:
-    return z.real * z.real + z.imag * z.imag
+    return float(_received_power(signal, freq_index, tau_rx) / port_total)
 
 
 def _interval_powers(support, phasors, interval: tuple[int, int]) -> np.ndarray:
     """Per-row power of the lines of ``support`` inside ``interval``."""
     inside = _contains(interval, support)
-    mag2 = _mag2(phasors[:, inside])
-    return np.sum(np.where(support[inside] == 0, mag2, 2.0 * mag2), axis=1)
+    return np.sum(_line_factor(support[inside]) * _mag2(phasors[:, inside]), axis=1)
 
 
 def _aclr_rows(support, phasors, band: BandDefinition) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +104,8 @@ def evm(
     gain makes the result invariant to any common scaling of the observed
     spectrum.
     """
-    refs: dict[int, complex] = {}
-    for k, amp, phase in reference_tones:
-        refs[k] = refs.get(k, 0j) + 0.5 * amp * np.exp(1j * phase)
-    ref_row = np.array([list(refs.values())])
-    return float(_evm_rows(spectrum.support, spectrum.phasors, list(refs), ref_row, band)[0])
+    ref = LineSpectrum.from_real_tones(spectrum.grid, reference_tones)
+    return float(_evm_rows(spectrum.support, spectrum.phasors, ref.support, ref.phasors, band)[0])
 
 
 def port_vs_ota_report(

@@ -55,6 +55,19 @@ class FrequencyGrid:
         return TWO_PI / self.base_rate
 
 
+def _mag2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _line_factor(index):
+    """Line power per ``|coefficient|**2``, and amplitude per ``|coefficient|``,
+    at an int or array ``index``: 1 for the constant at 0, 2 for a cosine
+    (its conjugate at ``-index`` carries the same power)."""
+    if isinstance(index, (int, np.integer)):
+        return 1.0 if index == 0 else 2.0
+    return np.where(np.asarray(index) == 0, 1.0, 2.0)
+
+
 def _columns(support: np.ndarray, phasors: np.ndarray, indices) -> np.ndarray:
     """Columns of ``phasors`` (one per line of the sorted ``support``) at the
     non-negative line ``indices``, zero where a line is absent."""
@@ -159,13 +172,11 @@ class ArraySignal:
     def line_powers(self, index: int) -> np.ndarray:
         """Per-port mean-square power of the line: ``A**2/2`` for a cosine
         of amplitude A, ``A**2`` for the constant at index 0."""
-        c = self.coefficients(index)
-        mag2 = c.real * c.real + c.imag * c.imag
-        return mag2 if index == 0 else 2.0 * mag2
+        return _line_factor(index) * _mag2(self.coefficients(index))
 
     def port_line_power_total(self, index: int) -> float:
         """Sum over antennas of the per-port power of the line."""
-        return float(np.sum(self.line_powers(index)))
+        return float(self.line_powers(index).sum())
 
     def __eq__(self, other):
         if not isinstance(other, ArraySignal):
@@ -210,14 +221,12 @@ class LineSpectrum(ArraySignal):
         Repeated indices superpose.  A term at index 0 contributes the
         constant ``amplitude*cos(phase)``.
         """
-        indices, coefficients = [], []
-        for k, amp, phase in terms:
-            if k < 0:
-                raise GridRangeError("tone index must be >= 0")
-            indices.append(k)
-            coefficients.append(
-                amp * np.cos(phase) if k == 0 else 0.5 * amp * np.exp(1j * phase)
-            )
+        terms = list(terms)
+        indices, amps, phases = (np.array([t[i] for t in terms]) for i in range(3))
+        if np.any(indices < 0):
+            raise GridRangeError("tone index must be >= 0")
+        # _store keeps the real part amp*cos(phase) of a constant term
+        coefficients = amps / _line_factor(indices) * np.exp(1j * phases)
         return cls.from_phasors(grid, indices, [coefficients])
 
     # -- inspection ---------------------------------------------------------
@@ -240,8 +249,7 @@ class LineSpectrum(ArraySignal):
 
     def amplitude(self, index: int) -> float:
         """Amplitude of the real cosine at ``index >= 0`` (0 if absent)."""
-        c = self.coefficient(abs(index))
-        return abs(c) if index == 0 else 2.0 * abs(c)
+        return _line_factor(index) * abs(self.coefficient(abs(index)))
 
     def phase(self, index: int) -> float:
         return float(np.angle(self.coefficient(index)))
@@ -251,8 +259,7 @@ class LineSpectrum(ArraySignal):
         return [(k, self.amplitude(k), self.phase(k)) for k in self.indices()]
 
     def line_power(self, index: int) -> float:
-        """Mean-square power carried by the line: ``A**2/2`` for a cosine of
-        amplitude A, ``A**2`` for the constant at index 0."""
+        """Mean-square power carried by the line (see :meth:`line_powers`)."""
         return float(self.line_powers(index)[0])
 
     def total_power(self) -> float:
@@ -269,10 +276,7 @@ class LineSpectrum(ArraySignal):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape, dtype=float)
         for k, c in zip(self.support.tolist(), self.phasors[0].tolist()):
-            if k == 0:
-                out += c.real
-            else:
-                out += 2.0 * (c * np.exp(1j * self.grid.omega(k) * t)).real
+            out += _line_factor(k) * (c * np.exp(1j * self.grid.omega(k) * t)).real
         return out
 
     # -- algebra ------------------------------------------------------------

@@ -31,7 +31,8 @@ from imdbeam import (
     tone,
     transmit,
 )
-from imdbeam.spectra import SampledWaveform
+from imdbeam.array import _build_pattern
+from imdbeam.spectra import PRUNE_THRESHOLD, SampledWaveform
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 BAND = BandDefinition.around((8, 12), 4)
@@ -319,6 +320,51 @@ class TestPatternSweep:
         _, sig = single_user_signal()
         with pytest.raises(ValueError):
             pattern_sweep(sig, 13, ArrayGeometry(3, 0.1))
+
+    def test_dc_line_sweep(self):
+        # the constant carries |c|**2, not 2|c|**2, and is direction-flat: its
+        # pattern is array_gain everywhere, with one peak
+        geo = ArrayGeometry(4, 1.0 / 26.0)
+        a = steer_tones(GRID, geo, {9: TAU_SU, 11: TAU_SU})
+        band = BandDefinition((8, 12), (4, 7), (13, 16), (0, 40))
+        sig = transmit(a, PolynomialNonlinearity.second_order(0.2), band)
+        p = pattern_sweep(sig, 0, geo, 64)
+        received = far_field_receive(sig, 0.3).line_power(0)
+        assert p.peak_power == pytest.approx(0.64, rel=1e-12)
+        assert p.peak_power == pytest.approx(received, rel=1e-12)
+        assert p.peak_gain == pytest.approx(4.0, rel=1e-12)
+        assert p.peak_gain == pytest.approx(array_gain(sig, 0, p.peak_tau), rel=1e-12)
+        assert p.peak_taus == (p.peak_tau,) and not p.multi_peaked
+
+    def test_flat_pattern_reports_one_peak(self):
+        taus = np.linspace(-0.5, 0.5, 64)
+        for powers in (np.full(64, 0.25), np.zeros(64), 1.0 + 1e-12 * np.sin(7 * taus)):
+            p = _build_pattern(9, taus, powers, 1.0, 1e-9)
+            assert p.peak_taus == (p.peak_tau,) == (taus[np.argmax(powers)],)
+            assert not p.multi_peaked
+
+
+class TestSweepMatchesReception:
+    @settings(max_examples=60, deadline=None)
+    @given(transmit_plans(), st.integers(16, 160))
+    def test_sweep_is_array_gain_and_reception(self, plan, points):
+        # every present line, DC included: the sweep's peak gain is the array
+        # gain at its peak, and its powers are what far_field_receive gives
+        assignment, f, band = plan
+        sig = transmit(assignment, f, band)
+        geo = assignment.geometry
+        m_count = geo.num_antennas
+        sampled = np.linspace(0, points - 1, 7).astype(int)
+        for k in sig.line_indices():
+            p = pattern_sweep(sig, k, geo, points)
+            gain = array_gain(sig, k, p.peak_tau)
+            assert p.peak_gain == pytest.approx(gain, rel=1e-12, abs=0.0)
+            assert 0.0 <= p.peak_gain <= m_count * (1 + 1e-12)
+            # far_field_receive drops received coefficients below PRUNE_THRESHOLD
+            atol = 1e-12 * p.peak_power + 2 * PRUNE_THRESHOLD**2
+            for i in sampled:
+                received = far_field_receive(sig, p.taus[i]).line_power(k)
+                assert abs(p.powers[i] - received) <= atol
 
 
 class TestSteeringInvariants:

@@ -1,13 +1,19 @@
 """Config parsing, scenario orchestration, report/CSV emission, and the
 command-line entry point."""
 
+import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imdbeam.cli import (
+    MAX_SWEEP_ELEMENTS,
     ScenarioConfig,
+    _build_parser,
     config_hash,
     config_to_jsonable,
     emit,
@@ -132,19 +138,32 @@ class TestParseConfig:
         assert err.value.field == field
 
     def test_sweep_points_bounded(self):
-        # a bound on antennas x sweep points: the benchmark's largest array
-        # fits, a sweep the size of 1e18 points does not
-        wide = base_config(geometry={"num_antennas": 1024, "element_delay": 1.0 / 26.0})
+        # a bound on antennas x sweep points, and with a baseline on its
+        # antennas x antennas covariance: the benchmark's largest arrays fit,
+        # a sweep the size of 1e18 points does not
+        def geometry(m):
+            return {"num_antennas": m, "element_delay": 1.0 / 26.0}
+
+        wide = base_config(geometry=geometry(1024))
         assert parse(dict(wide, sweep_points=4096)).sweep_points == 4096
-        for doc in (
-            base_config(sweep_points=1e18),
-            dict(wide, sweep_points=2**14 + 1),
-            # a baseline sweeps one chunk of trials x sweep points at once
-            base_config(sweep_points=2**14 + 1, baseline={"trials": 1024}),
+        mc = base_config(geometry=geometry(64), baseline={"trials": 10**4})
+        assert parse(mc).sweep_points == 1024
+        # the baseline's trial chunks form no trials x sweep points matrix
+        doc = base_config(sweep_points=2**14 + 1, baseline={"trials": 1024})
+        assert parse(doc).sweep_points == 2**14 + 1
+        huge = base_config(geometry=geometry(2**17), sweep_points=16)
+        assert parse(huge).geometry.num_antennas == 2**17
+        assert parse(dict(huge, geometry=geometry(4096), baseline={"trials": 1}))
+        for doc, field in (
+            (base_config(sweep_points=1e18), "sweep_points"),
+            (dict(wide, sweep_points=2**14 + 1), "sweep_points"),
+            # a 2**17 x 2**17 covariance would take 256 GiB
+            (dict(huge, baseline={"trials": 1}), "geometry.num_antennas"),
+            (dict(huge, baseline={"trials": 1}, geometry=geometry(4097)), "geometry.num_antennas"),
         ):
             with pytest.raises(ConfigError) as err:
                 parse(doc)
-            assert err.value.field == "sweep_points"
+            assert err.value.field == field
 
     def test_round_trip(self):
         for doc in (
@@ -161,6 +180,135 @@ class TestParseConfig:
         a = parse(base_config())
         b = parse(base_config(seed=1))
         assert config_hash(a) != config_hash(b)
+
+
+@st.composite
+def config_docs(draw):
+    """Valid scenario documents: with and without a baseline, either band
+    form, and within the sweep bound."""
+    k1 = draw(st.integers(1, 20))
+    k2 = draw(st.integers(k1 + 1, k1 + 12).filter(lambda k: k != 2 * k1))
+    coefficients = draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=9).filter(any)
+    )
+    width = draw(st.integers(1, k1))
+    lo, hi = draw(st.integers(width, k1)), draw(st.integers(k2, k2 + 5))
+    keep = (
+        draw(st.integers(0, lo - width)),
+        hi + width + draw(st.integers(0, 6)),
+    )
+    max_index = max(len(coefficients) * k2, keep[1]) + draw(st.integers(0, 5))
+    num_antennas = draw(st.integers(2, 64))
+    delay = draw(st.floats(1e-3, 10.0))
+    tau = st.floats(-delay, delay)
+    amplitude, phase = st.floats(0.01, 10.0), st.floats(-10.0, 10.0)
+    tones = [
+        {"index": k, "amplitude": draw(amplitude), "phase": draw(phase)}
+        for k in draw(st.permutations([k1, k2]))
+    ]
+    if draw(st.booleans()):
+        band = {"in_band": [lo, hi], "adjacent_width": width}
+        if draw(st.booleans()):
+            band["keep_window"] = list(keep)
+    else:
+        band = {
+            "in_band": [lo, hi],
+            "adjacent_lower": [lo - width, lo - 1],
+            "adjacent_upper": [hi + 1, hi + width],
+            "keep_window": list(keep),
+        }
+    doc = {
+        "grid": {"base_rate": draw(st.floats(1e-3, 1e6)), "max_index": max_index},
+        "tones": tones,
+        "targets": [{"index": k, "tau": draw(tau)} for k in (k2, k1)],
+        "geometry": {"num_antennas": num_antennas, "element_delay": delay},
+        "nonlinearity": {"coefficients": coefficients},
+        "band": band,
+        "sweep_points": draw(st.integers(16, MAX_SWEEP_ELEMENTS // num_antennas)),
+        "seed": draw(st.integers(-(2**63), 2**63 - 1)),
+    }
+    if draw(st.booleans()):
+        doc["baseline"] = {"trials": draw(st.integers(1, 10**6))}
+        if draw(st.booleans()):
+            lines = st.lists(st.integers(1, max_index), min_size=1, max_size=4)
+            doc["baseline"]["line_indices"] = draw(lines)
+    if draw(st.booleans()):
+        doc["output_dir"] = draw(st.text(max_size=8))
+    return doc
+
+
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, 10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def node_paths(node, prefix=()):
+    """Paths to every node of a JSON document, the root first."""
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, prefix + (key,))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(config_docs())
+    def test_round_trip(self, doc):
+        cfg = parse(doc)
+        again = parse_config(json.dumps(config_to_jsonable(cfg)))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(config_docs(), st.data())
+    def test_fuzzed_document_parses_or_raises_config_error(self, valid, data):
+        doc = copy.deepcopy(valid)
+        paths = list(node_paths(doc))
+        kind = data.draw(st.sampled_from(["replace", "remove", "add"]))
+        if kind == "add":
+            dicts = [p for p in paths if isinstance(node_at(doc, p), dict)]
+            node = node_at(doc, data.draw(st.sampled_from(dicts)))
+            node[data.draw(st.text(max_size=12))] = data.draw(JSON_VALUES)
+        else:
+            path = data.draw(st.sampled_from(paths[1:]))
+            parent = node_at(doc, path[:-1])
+            if kind == "replace":
+                parent[path[-1]] = data.draw(JSON_VALUES)
+            else:
+                del parent[path[-1]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                parse(doc)  # json.dumps writes NaN and Infinity literals
+            except ConfigError:
+                pass
+
+    @pytest.mark.parametrize(
+        "text", ['{"seed": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000]
+    )
+    def test_undecodable_json_is_a_config_error(self, text):
+        # beyond int's digit limit, and beyond the recursion limit
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.field == "$"
 
 
 class TestRunScenario:
@@ -397,6 +545,27 @@ class TestMain:
         assert main(["run", "--config", path, "--out", str(out)]) == 2
         assert "nonlinearity.coefficients" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys):
+        # the parser is built once; no call's arguments or error exit leaks
+        # into the next one
+        assert _build_parser() is _build_parser()
+        path = self.write_config(tmp_path, base_config(sweep_points=64, seed=5))
+        assert main(["sweep", "--config", path, "--line", "13", "--seed", "99"]) == 0
+        assert main(["expand", "--k1", "9", "--k2", "11", "--alpha", "0.1"]) == 0
+        for argv in (["expand", "--k1", "9"], ["bogus"], []):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 2
+        assert main(["sweep", "--config", path, "--line", "14"]) == 2
+        assert main(["compare", "--config", path]) == 2
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["provenance"]["seed"] == 5
+        args = _build_parser().parse_args(["run", "--config", path])
+        assert args.handler.__name__ == "_cmd_run"
+        assert not hasattr(args, "line") and args.seed is None and args.out is None
+        capsys.readouterr()
 
     def test_compare_requires_baseline(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
