@@ -7,16 +7,16 @@ uncorrelated across antennas and its trial-averaged radiation is flat in
 direction.  Phases come from a keyed counter-based hash in the manner of
 Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): every
 draw is a pure function of (seed, trial, antenna, line), which makes results
-reproducible across platforms, orderings, and parallel schedules.  The hash
-chains the four 64-bit key words through splitmix64 steps in numpy ``uint64``
-arithmetic, so one call draws the phases of a whole trial chunk.
+reproducible across platforms and orderings.  The hash chains the four 64-bit
+key words through splitmix64 steps in numpy ``uint64`` arithmetic, so one call
+draws the phases of a whole trial chunk.
 
 The trial-averaged pattern is a quadratic form in the per-trial coefficient
 vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
-``mean_pattern`` accumulates ``G`` and sweeps it once.
+``mean_pattern`` sums ``G`` serially over fixed trial chunks, in chunk order,
+and sweeps it once.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +33,8 @@ from .array import (
 from .errors import GridMismatchError
 from .spectra import TWO_PI, _line_factor
 
-# Fixed accumulation chunk; identical partial sums for any worker count.
+# Trials per covariance chunk: caps a chunk's draws at TRIAL_CHUNK x M and
+# fixes the order of the sum.
 TRIAL_CHUNK = 1024
 
 DIRECTIVE_CONTRAST = 1.5
@@ -104,6 +105,14 @@ def uniform_phase(seed, trial, antenna, line):
     return _phase_from_hash(h).reshape(shape)[()]
 
 
+def _noise(cfg: NoiseModelConfig, trial, antenna, line):
+    """Noise coefficient of power ``per_antenna_line_power`` and uniform
+    phase at each (trial, antenna, line) key; the keys broadcast as in
+    :func:`uniform_phase`."""
+    magnitude = np.sqrt(cfg.per_antenna_line_power / _line_factor(line))
+    return magnitude * np.exp(1j * uniform_phase(cfg.seed, trial, antenna, line))
+
+
 def independent_noise_transmit(
     desired: ArraySignal, cfg: NoiseModelConfig, trial: int
 ) -> ArraySignal:
@@ -116,9 +125,7 @@ def independent_noise_transmit(
         return desired
     lines = np.array(cfg.distortion_line_indices)
     antennas = np.arange(desired.num_antennas)
-    phases = uniform_phase(cfg.seed, trial, antennas[:, None], lines[None, :])
-    magnitude = np.sqrt(cfg.per_antenna_line_power / _line_factor(lines))
-    noise = magnitude * np.exp(1j * phases)
+    noise = _noise(cfg, trial, antennas[:, None], lines[None, :])
     return ArraySignal.from_phasors(
         desired.grid,
         np.concatenate((desired.support, lines)),
@@ -137,39 +144,24 @@ def mean_pattern(
     """Trial-averaged received-power sweep of the noise line at
     ``freq_index``.
 
-    Trials are accumulated in fixed-size chunks in a fixed order, so the
-    result is bit-identical for any ``workers`` count; chunks may be
-    evaluated concurrently.  Each chunk contributes its coefficient
-    covariance ``sum_t conj(c_t) c_t^T``; the total is swept once.
+    Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
+    order, so the result is bit-identical on every run.  Each chunk
+    contributes its coefficient covariance ``sum_t conj(c_t) c_t^T``; the
+    total is swept once.  ``workers`` has no effect; it is kept for callers
+    that pass it.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
     taus, tol = _sweep_grid(desired, freq_index, geometry, num_points)
     m_count = geometry.num_antennas
     steer = steering(m_count, desired.grid.omega(freq_index) * taus)
-    noise = np.sqrt(cfg.per_antenna_line_power / _line_factor(freq_index))
     c_des = desired.coefficients(freq_index)
     antennas = np.arange(m_count)
-
-    def chunk_covariance(bounds):
-        lo, hi = bounds
-        trials = np.arange(lo, hi)
-        phases = uniform_phase(cfg.seed, trials[:, None], antennas[None, :], freq_index)
-        coeffs = c_des[None, :] + noise * np.exp(1j * phases)
-        return coeffs.conj().T @ coeffs
-
-    chunks = [
-        (lo, min(lo + TRIAL_CHUNK, cfg.trials))
-        for lo in range(0, cfg.trials, TRIAL_CHUNK)
-    ]
-    if workers <= 1:
-        partials = [chunk_covariance(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(chunk_covariance, chunks))
     total = np.zeros((m_count, m_count), dtype=complex)
-    for p in partials:
-        total += p
+    for lo in range(0, cfg.trials, TRIAL_CHUNK):
+        trials = np.arange(lo, min(lo + TRIAL_CHUNK, cfg.trials))
+        coeffs = c_des[None, :] + _noise(cfg, trials[:, None], antennas, freq_index)
+        total += coeffs.conj().T @ coeffs
     # line power of Re(s^H G s) per steering column s; it is >= 0 exactly, so
     # a negative value is rounding near a null
     quad = ((total @ steer) * steer.conj()).sum(axis=0).real

@@ -658,7 +658,7 @@ def _write_atomic(path: str, data: str):
 
 def _pattern_csv(pattern: Pattern) -> str:
     rows = ["tau_rx_seconds,power_linear,power_db"]
-    for tau, p in zip(pattern.taus, pattern.powers):
+    for tau, p in zip(pattern.taus.tolist(), pattern.powers.tolist()):
         db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
         rows.append(f"{tau:.12g},{p:.12g},{db:.12g}")
     return "\n".join(rows) + "\n"

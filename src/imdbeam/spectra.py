@@ -266,11 +266,6 @@ class LineSpectrum(ArraySignal):
         """Mean-square power of the whole signal (Parseval sum)."""
         return float(sum(map(self.line_power, self.indices())))
 
-    def conjugate_symmetry_defect(self) -> float:
-        """Largest ``|c(-k) - conj(c(+k))|``; always zero, since only the
-        non-negative half is stored and the other half is its conjugate."""
-        return 0.0
-
     def evaluate(self, t) -> np.ndarray:
         """Evaluate the real signal at times ``t`` (seconds, array-like)."""
         t = np.asarray(t, dtype=float)

@@ -2,6 +2,7 @@
 direction-flat mean patterns, and the contrast report against the
 behavioral model."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -151,6 +152,18 @@ class TestMeanPattern:
         seq = mean_pattern(cfg, desired, GEO, 13, 512, workers=1)
         par = mean_pattern(cfg, desired, GEO, 13, 512, workers=4)
         assert np.array_equal(seq.powers, par.powers)
+
+    def test_workers_start_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("mean_pattern started a thread")
+
+        _, desired = scenario()
+        cfg = NoiseModelConfig((13,), 0.0028125, 2 * TRIAL_CHUNK + 1, 99)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        serial = mean_pattern(cfg, desired, GEO, 13, 512, workers=1)
+        assert np.array_equal(
+            mean_pattern(cfg, desired, GEO, 13, 512, workers=4).powers, serial.powers
+        )
 
     def test_unconfigured_line_rejected(self):
         _, desired = scenario()

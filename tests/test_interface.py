@@ -1,12 +1,18 @@
 """The stable public interface: the names ``imdbeam`` exports and the nested
 key layout of ``report.json``."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 
 import imdbeam
 from imdbeam.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # the scenario config shown in the README, without its output_dir
 README_CONFIG = {
@@ -161,3 +167,23 @@ def test_report_key_layout_of_readme_config(tmp_path):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert layout(report) == REPORT_LAYOUT
+
+
+def readme_block(language):
+    """The one fenced ``language`` code block of the README."""
+    (block,) = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.M | re.S)
+    return block
+
+
+def test_readme_config_block_is_readme_config():
+    config = json.loads(readme_block("json"))
+    assert config.pop("output_dir") == "results"
+    assert config == README_CONFIG
+
+
+def test_readme_library_block_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(readme_block("python"), {})
+    gain = float(out.getvalue().splitlines()[-1])
+    assert abs(gain - 2.0) <= 1e-9

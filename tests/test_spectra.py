@@ -113,11 +113,6 @@ class TestAdd:
             a, b, c = (random_spectrum(rng) for _ in range(3))
             assert ((a + b) + c).allclose(a + (b + c), rtol=1e-12, atol=1e-13)
 
-    def test_conjugate_symmetry_preserved(self):
-        rng = np.random.default_rng(9)
-        s = random_spectrum(rng) + random_spectrum(rng)
-        assert s.conjugate_symmetry_defect() == 0.0
-
 
 class TestConstruction:
     def test_symmetry_violation_rejected(self):
