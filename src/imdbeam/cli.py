@@ -656,11 +656,17 @@ def _write_atomic(path: str, data: str):
         raise
 
 
-def _pattern_csv(pattern: Pattern) -> str:
+def _tau_column(taus) -> list[str]:
+    return [f"{tau:.12g}" for tau in taus.tolist()]
+
+
+def _pattern_csv(pattern: Pattern, tau_column: list[str]) -> str:
+    """CSV rows of ``pattern``; ``tau_column`` is ``_tau_column(pattern.taus)``,
+    formatted once for all sweeps over the same delay grid."""
     rows = ["tau_rx_seconds,power_linear,power_db"]
-    for tau, p in zip(pattern.taus.tolist(), pattern.powers.tolist()):
+    for tau, p in zip(tau_column, pattern.powers.tolist()):
         db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
-        rows.append(f"{tau:.12g},{p:.12g},{db:.12g}")
+        rows.append(f"{tau},{p:.12g},{db:.12g}")
     return "\n".join(rows) + "\n"
 
 
@@ -671,9 +677,13 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     sweeps = [(p, False) for p in bundle.patterns]
+    tau_columns = {}  # the sweeps of a run, baseline ones too, share one grid
     for pattern, baseline in sweeps + [(p, True) for p in bundle.baseline_patterns]:
+        grid = pattern.taus.tobytes()
+        if grid not in tau_columns:
+            tau_columns[grid] = _tau_column(pattern.taus)
         path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
-        _write_atomic(path, _pattern_csv(pattern))
+        _write_atomic(path, _pattern_csv(pattern, tau_columns[grid]))
         written.append(path)
     report = json.dumps(bundle_to_jsonable(bundle), indent=2, sort_keys=True, allow_nan=False)
     path = os.path.join(out_dir, "report.json")
@@ -742,7 +752,8 @@ def _cmd_sweep(args) -> int:
     csv_name = _pattern_csv_name(args.line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_atomic(os.path.join(args.out, csv_name), _pattern_csv(pattern))
+        csv = _pattern_csv(pattern, _tau_column(pattern.taus))
+        _write_atomic(os.path.join(args.out, csv_name), csv)
     print(json.dumps(_pattern_jsonable(pattern, csv_name), indent=2, sort_keys=True))
     return 0
 

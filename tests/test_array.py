@@ -2,6 +2,8 @@
 closed-form distortion directions, cross-checked against a delayed
 time-domain oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,8 +33,8 @@ from imdbeam import (
     tone,
     transmit,
 )
-from imdbeam.array import _build_pattern
-from imdbeam.spectra import PRUNE_THRESHOLD, SampledWaveform
+from imdbeam.array import _build_pattern, steering
+from imdbeam.spectra import PRUNE_THRESHOLD, SampledWaveform, _line_factor
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 BAND = BandDefinition.around((8, 12), 4)
@@ -365,6 +367,74 @@ class TestSweepMatchesReception:
             for i in sampled:
                 received = far_field_receive(sig, p.taus[i]).line_power(k)
                 assert abs(p.powers[i] - received) <= atol
+
+
+def lobe_signal(m_count, k, base_rate, element_delay, tau0, spread, seed):
+    """Line ``k`` on ``m_count`` antennas steered to ``tau0``, each coefficient
+    perturbed by complex Gaussian noise of relative size ``spread``."""
+    grid = FrequencyGrid(base_rate, k + 1)
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=m_count) + 1j * rng.normal(size=m_count)
+    lead = np.exp(1j * np.arange(m_count) * grid.omega(k) * tau0)
+    sig = ArraySignal.from_phasors(grid, [k], (lead * (1.0 + spread * noise))[:, None])
+    return sig, ArrayGeometry(m_count, element_delay)
+
+
+def direct_sweep(sig, k, geo, points):
+    """Sweep powers from the M x points exponential matrix."""
+    taus = np.linspace(-geo.element_delay, geo.element_delay, points)
+    received = sig.coefficients(k) @ steering(geo.num_antennas, sig.grid.omega(k) * taus)
+    return _line_factor(k) * np.abs(received) ** 2
+
+
+class TestSweepMatchesDirectProduct:
+    BASE, K = 2 * np.pi * 1.3, 31
+
+    @pytest.mark.parametrize(
+        "m_count, points, span",
+        # span is omega * element_delay: about 5 rad in a degree-9 wide array;
+        # then one antenna at the fewest points, M + points - 1 at a power of
+        # two (128) and one above it, and a long sweep whose chirp phases
+        # reach 1e5 rad, so a chirp or step rounded as one product shows
+        [(1024, 4096, 5.0), (1, 16, 5.0), (17, 112, 5.0), (18, 112, 5.0), (4, 4096, 8 * np.pi)],
+    )
+    def test_lobe_with_perturbations(self, m_count, points, span):
+        delay = span / (self.BASE * self.K)
+        sig, geo = lobe_signal(m_count, self.K, self.BASE, delay, 0.37 * delay, 0.1, 5)
+        reference = direct_sweep(sig, self.K, geo, points)
+        p = pattern_sweep(sig, self.K, geo, points)
+        assert np.max(np.abs(p.powers - reference)) <= 1e-12 * reference.max()
+
+    def test_forms_no_antenna_by_delay_matrix(self):
+        # one complex (M, points) matrix would take 64 MB here
+        sig, geo = lobe_signal(1024, self.K, self.BASE, 0.02, 0.0, 0.1, 6)
+        tracemalloc.start()
+        try:
+            pattern_sweep(sig, self.K, geo, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 4096 * 16 // 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.integers(16, 2048),
+        st.integers(0, 40),
+        st.floats(1e-4, 1e3),
+        st.floats(0.01, 4 * np.pi),
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_shapes(self, m_count, points, k, delay, span, lobe, spread, seed):
+        # span is omega * element_delay, the largest phase between neighbouring
+        # antennas that the sweep reaches
+        base_rate = span / (k * delay) if k else 1.0
+        sig, geo = lobe_signal(m_count, k, base_rate, delay, lobe * delay, spread, seed)
+        reference = direct_sweep(sig, k, geo, points)
+        p = pattern_sweep(sig, k, geo, points)
+        assert np.max(np.abs(p.powers - reference)) <= 1e-12 * reference.max()
 
 
 class TestSteeringInvariants:

@@ -3,6 +3,7 @@ command-line entry point."""
 
 import copy
 import json
+import math
 import warnings
 
 import numpy as np
@@ -362,6 +363,15 @@ class TestRunScenario:
         assert bundle.baseline_line_power == pytest.approx(0.075**2 / 2, rel=1e-9)
 
 
+def row_formatted_csv(pattern) -> str:
+    """Pattern CSV formatted row by row, the delay column included."""
+    rows = ["tau_rx_seconds,power_linear,power_db"]
+    for tau, p in zip(pattern.taus.tolist(), pattern.powers.tolist()):
+        db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
+        rows.append(f"{tau:.12g},{p:.12g},{db:.12g}")
+    return "\n".join(rows) + "\n"
+
+
 class TestEmit:
     def test_files_and_shapes(self, tmp_path):
         cfg = parse(multi_user_config(baseline={"trials": 60}, sweep_points=128))
@@ -389,6 +399,16 @@ class TestEmit:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["ports"][0]["aclr_lower_db"] == "-inf"
         assert doc["ports"][0]["evm"] == 0.0
+
+    def test_shared_delay_column_keeps_csv_bytes(self, tmp_path):
+        # emit formats the delay column once for all sweeps of a run
+        cfg = parse(multi_user_config(baseline={"trials": 60}, sweep_points=300))
+        bundle = run_scenario(cfg)
+        emit(bundle, str(tmp_path))
+        for patterns, suffix in ((bundle.patterns, ""), (bundle.baseline_patterns, "_baseline")):
+            for p in patterns:
+                csv = tmp_path / f"pattern_{p.freq_index}{suffix}.csv"
+                assert csv.read_bytes() == row_formatted_csv(p).encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse(multi_user_config(baseline={"trials": 200}, seed=5, sweep_points=128))
