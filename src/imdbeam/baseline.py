@@ -139,7 +139,6 @@ def mean_pattern(
     geometry: ArrayGeometry,
     freq_index: int,
     num_points: int = DEFAULT_SWEEP_POINTS,
-    workers: int = 1,
 ) -> Pattern:
     """Trial-averaged received-power sweep of the noise line at
     ``freq_index``.
@@ -147,8 +146,7 @@ def mean_pattern(
     Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
     order, so the result is bit-identical on every run.  Each chunk
     contributes its coefficient covariance ``sum_t conj(c_t) c_t^T``; the
-    total is swept once.  ``workers`` has no effect; it is kept for callers
-    that pass it.
+    total is swept once.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")

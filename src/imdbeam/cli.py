@@ -415,7 +415,6 @@ class ReportBundle:
     """Everything a scenario run produced, ready for serialization."""
 
     config: ScenarioConfig
-    seed: int
     assignment: SteeringAssignment
     distortion: DistortionDirections
     ports: list[MetricsReport]
@@ -536,7 +535,6 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
 
     return ReportBundle(
         config=cfg,
-        seed=cfg.seed,
         assignment=assignment,
         distortion=dd,
         ports=ports,
@@ -560,11 +558,17 @@ def _json_num(x):
     return x if math.isfinite(x) else str(x)
 
 
+def _fields(x, *drop: str) -> dict:
+    """A dataclass's fields by name, less those in ``drop``; the values are
+    left unconverted, so a document built from them takes one _jsonable."""
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in drop}
+
+
 def _jsonable(x):
     """JSON form of report values: dataclasses and mappings become objects
     with string keys, tuples become lists, floats pass through _json_num."""
     if dataclasses.is_dataclass(x):
-        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        x = _fields(x)
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -572,20 +576,12 @@ def _jsonable(x):
     return _json_num(x) if isinstance(x, float) else x
 
 
-def _report_jsonable(report: MetricsReport) -> dict:
-    doc = _jsonable(report)
-    if report.array_gain_by_line is None:
-        del doc["array_gain_by_line"]
-    return doc
-
-
 def _pattern_jsonable(pattern: Pattern, csv_name: str) -> dict:
-    doc = _jsonable(pattern)  # the swept arrays go to the CSV instead
-    del doc["taus"], doc["powers"]
-    return doc | {
-        "points": int(pattern.taus.size),
-        "tau_start": _json_num(pattern.taus[0]),
-        "tau_stop": _json_num(pattern.taus[-1]),
+    # the swept arrays go to the CSV instead
+    return _fields(pattern, "taus", "powers") | {
+        "points": pattern.taus.size,
+        "tau_start": pattern.taus[0],
+        "tau_stop": pattern.taus[-1],
         "csv": csv_name,
     }
 
@@ -594,15 +590,29 @@ def _pattern_csv_name(freq_index: int, baseline: bool = False) -> str:
     return f"pattern_{freq_index}_baseline.csv" if baseline else f"pattern_{freq_index}.csv"
 
 
+def _baseline_jsonable(bundle: ReportBundle) -> dict:
+    """The report's ``baseline`` section, which ``compare`` prints alone."""
+    return {
+        "trials": bundle.config.baseline.trials,
+        "seed": bundle.config.seed,
+        "line_indices": [p.freq_index for p in bundle.baseline_patterns],
+        "per_antenna_line_power": bundle.baseline_line_power,
+        "patterns": [
+            _pattern_jsonable(p, _pattern_csv_name(p.freq_index, baseline=True))
+            for p in bundle.baseline_patterns
+        ],
+        "contrast": bundle.contrasts,
+    }
+
+
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
     cfg, assignment, dd = bundle.config, bundle.assignment, bundle.distortion
     doc = {
         "provenance": {
             "config_sha256": config_hash(cfg),
             "version": __version__,
-            "seed": bundle.seed,
+            "seed": cfg.seed,
         },
-        "config": config_to_jsonable(cfg),
         "steering": {
             "tone_indices": assignment.tone_indices,
             "amplitudes": assignment.amplitudes,
@@ -617,30 +627,18 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             }
             for side in ("upper", "lower")
         },
-        "ports": [_report_jsonable(r) for r in bundle.ports],
+        "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
         "directions": [
-            {"tau": d.tau, "kind": d.kind, **_report_jsonable(d.report)}
+            {"tau": d.tau, "kind": d.kind, **_fields(d.report)}
             for d in bundle.directions
         ],
         "patterns": [
             _pattern_jsonable(p, _pattern_csv_name(p.freq_index)) for p in bundle.patterns
         ],
         "notes": bundle.notes,
-        "baseline": None,
+        "baseline": None if cfg.baseline is None else _baseline_jsonable(bundle),
     }
-    if cfg.baseline is not None:
-        doc["baseline"] = {
-            "trials": cfg.baseline.trials,
-            "seed": bundle.seed,
-            "line_indices": [p.freq_index for p in bundle.baseline_patterns],
-            "per_antenna_line_power": bundle.baseline_line_power,
-            "patterns": [
-                _pattern_jsonable(p, _pattern_csv_name(p.freq_index, baseline=True))
-                for p in bundle.baseline_patterns
-            ],
-            "contrast": bundle.contrasts,
-        }
-    return _jsonable(doc)
+    return _jsonable(doc) | {"config": config_to_jsonable(cfg)}
 
 
 def _write_atomic(path: str, data: str):
@@ -662,7 +660,7 @@ def _tau_column(taus) -> list[str]:
 
 def _pattern_csv(pattern: Pattern, tau_column: list[str]) -> str:
     """CSV rows of ``pattern``; ``tau_column`` is ``_tau_column(pattern.taus)``,
-    formatted once for all sweeps over the same delay grid."""
+    formatted once for all the sweeps of a run."""
     rows = ["tau_rx_seconds,power_linear,power_db"]
     for tau, p in zip(tau_column, pattern.powers.tolist()):
         db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
@@ -677,13 +675,12 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     sweeps = [(p, False) for p in bundle.patterns]
-    tau_columns = {}  # the sweeps of a run, baseline ones too, share one grid
-    for pattern, baseline in sweeps + [(p, True) for p in bundle.baseline_patterns]:
-        grid = pattern.taus.tobytes()
-        if grid not in tau_columns:
-            tau_columns[grid] = _tau_column(pattern.taus)
+    sweeps += [(p, True) for p in bundle.baseline_patterns]
+    # every sweep of a run, baseline ones too, is on the config's one delay grid
+    tau_column = _tau_column(sweeps[0][0].taus) if sweeps else []
+    for pattern, baseline in sweeps:
         path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
-        _write_atomic(path, _pattern_csv(pattern, tau_columns[grid]))
+        _write_atomic(path, _pattern_csv(pattern, tau_column))
         written.append(path)
     report = json.dumps(bundle_to_jsonable(bundle), indent=2, sort_keys=True, allow_nan=False)
     path = os.path.join(out_dir, "report.json")
@@ -754,7 +751,8 @@ def _cmd_sweep(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         csv = _pattern_csv(pattern, _tau_column(pattern.taus))
         _write_atomic(os.path.join(args.out, csv_name), csv)
-    print(json.dumps(_pattern_jsonable(pattern, csv_name), indent=2, sort_keys=True))
+    summary = _jsonable(_pattern_jsonable(pattern, csv_name))
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -762,8 +760,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
     if cfg.baseline is None:
         raise ConfigError("baseline", "compare requires baseline settings in the config")
-    bundle = _run_with_context(cfg)
-    doc = bundle_to_jsonable(bundle)["baseline"]
+    doc = _jsonable(_baseline_jsonable(_run_with_context(cfg)))
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         os.makedirs(args.out, exist_ok=True)

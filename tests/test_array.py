@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from imdbeam import (
@@ -349,6 +349,28 @@ class TestPatternSweep:
 class TestSweepMatchesReception:
     @settings(max_examples=60, deadline=None)
     @given(transmit_plans(), st.integers(16, 160))
+    @example(
+        (
+            steer_tones(
+                FrequencyGrid(2 * np.pi, 54),
+                ArrayGeometry(6, 0.5),
+                {1: 0.015625, 9: 0.2757959105285317},
+            ),
+            PolynomialNonlinearity((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)),
+            BandDefinition((1, 9), (0, 0), (10, 10), (0, 54)),
+        ),
+        16,
+    )
+    @example(
+        (
+            steer_tones(
+                FrequencyGrid(2 * np.pi, 20), ArrayGeometry(2, 0.5), {3: 0.5, 5: 0.0}
+            ),
+            PolynomialNonlinearity((0.0, 0.0, 0.0, 1.0)),
+            BandDefinition((3, 5), (2, 2), (6, 6), (0, 20)),
+        ),
+        19,
+    )
     def test_sweep_is_array_gain_and_reception(self, plan, points):
         # every present line, DC included: the sweep's peak gain is the array
         # gain at its peak, and its powers are what far_field_receive gives

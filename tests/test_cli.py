@@ -602,3 +602,26 @@ class TestMain:
         assert doc["trials"] == 100
         assert doc["contrast"][0]["behavioral_directive"] is True
         assert (out / "compare.json").exists()
+
+    def run_readme_config(self, tmp_path):
+        """Config path and ``run`` report of the README's example config."""
+        doc = multi_user_config(baseline={"trials": 10000}, sweep_points=1024, seed=1234)
+        path = self.write_config(tmp_path, doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        return path, json.loads((tmp_path / "run" / "report.json").read_text())
+
+    def test_compare_writes_the_run_report_baseline(self, tmp_path, capsys):
+        path, report = self.run_readme_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", path, "--out", str(out)]) == 0
+        expected = json.dumps(report["baseline"], indent=2, sort_keys=True) + "\n"
+        assert (out / "compare.json").read_text() == expected
+        assert capsys.readouterr().out.endswith(expected)
+
+    def test_sweep_prints_the_run_report_pattern(self, tmp_path, capsys):
+        path, report = self.run_readme_config(tmp_path)
+        capsys.readouterr()
+        assert main(["sweep", "--config", path, "--line", "13"]) == 0
+        (summary,) = [p for p in report["patterns"] if p["freq_index"] == 13]
+        expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
