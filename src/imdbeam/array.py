@@ -13,7 +13,7 @@ spaced evenly along an arc of the unit circle, so it is computed as a chirp
 z-transform on FFTs (:func:`_chirp_z`) rather than from an
 antennas-by-delays exponential matrix.  Where the pattern's peak amplitude
 is at least half of ``sum_m |c_m|``, its powers agree with the direct sum
-within 1e-12 of the pattern's peak (about 2e-13 at 1024 antennas and 4096
+within 1e-12 of the pattern's peak (about 2.5e-13 at 1024 antennas and 4096
 delays); a weaker line is summed directly, one delay at a time.
 """
 
@@ -101,9 +101,8 @@ class SteeringAssignment:
             raise ValueError("targets must match tone_indices")
         if any(k < 1 for k in self.tone_indices):
             raise ValueError("tone indices must be positive")
-        for row in self.phases:
-            if not all(np.isfinite(row)):
-                raise ValueError("phases must be finite")
+        if not np.isfinite(self.phases).all():
+            raise ValueError("phases must be finite")
 
     def phase(self, antenna: int, tone_index: int) -> float:
         return self.phases[antenna][self.tone_indices.index(tone_index)]
@@ -143,16 +142,15 @@ def steer_tones(
             raise GridRangeError(f"tone index {k} is not on the grid")
     base_phases = dict(base_phases or {})
     amplitudes = dict(amplitudes or {})
-    base = tuple(float(base_phases.get(k, 0.0)) for k in tone_indices)
+    base = np.array([float(base_phases.get(k, 0.0)) for k in tone_indices])
     amps = tuple(float(amplitudes.get(k, 1.0)) for k in tone_indices)
     taus = tuple(float(targets[k]) for k in tone_indices)
-    phases = tuple(
-        tuple(
-            (b + m * grid.omega(k) * t) % TWO_PI
-            for k, b, t in zip(tone_indices, base, taus)
-        )
-        for m in range(geometry.num_antennas)
-    )
+    omegas = np.array([grid.omega(k) for k in tone_indices])
+    m = np.arange(geometry.num_antennas)[:, None]
+    # a non-finite phase is reported by SteeringAssignment, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (base + m * omegas * np.array(taus)) % TWO_PI
+    phases = tuple(map(tuple, table.tolist()))
     return SteeringAssignment(grid, geometry, tone_indices, amps, phases, taus)
 
 
@@ -188,33 +186,18 @@ def _received_power(signal: ArraySignal, freq_index: int, tau_rx: float) -> floa
     return _line_factor(freq_index) * np.abs(received) ** 2
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """``a * b`` as the unevaluated sum ``p + e`` with ``p = fl(a * b)``,
-    exactly (Dekker's product with Veltkamp splitting)."""
+def _phasors(phase: float, q: np.ndarray) -> np.ndarray:
+    """``exp(-1j * phase * q)`` for the whole numbers ``0 <= q < 2**53``
+    (held as floats).
 
-    def split(x):
-        t = 134217729.0 * x  # 2**27 + 1
-        hi = t - (t - x)
-        return hi, x - hi
-
-    p = a * b
-    (ah, al), (bh, bl) = split(a), split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _phasors(phase: tuple[float, float], q: np.ndarray) -> np.ndarray:
-    """``exp(-1j * (p + e) * q)`` for the two-part phase ``p + e`` and the
-    whole numbers ``0 <= q < 2**53`` (held as floats).
-
-    ``p`` is split into a head with few enough bits that ``head * q`` is
+    ``phase`` is split into a head with few enough bits that ``head * q`` is
     exact, so no rounding of a large argument enters the phase; only the
     product of the small rest with ``q`` is rounded.
     """
-    p, e = phase
     bits = 53 - int(q.max()).bit_length()
-    mantissa, exponent = math.frexp(p)
+    mantissa, exponent = math.frexp(phase)
     head = math.ldexp(math.trunc(math.ldexp(mantissa, bits)), exponent - bits)
-    return np.exp(-1j * (head * q)) * np.exp(-1j * (((p - head) + e) * q))
+    return np.exp(-1j * (head * q)) * np.exp(-1j * ((phase - head) * q))
 
 
 def _chirp_z(coefficients: np.ndarray, omega: float, half_width: float, num_points: int):
@@ -225,16 +208,16 @@ def _chirp_z(coefficients: np.ndarray, omega: float, half_width: float, num_poin
     ``theta = omega * step`` and the chirp ``w(j) = exp(-1j * theta * j**2 / 2)``,
     ``exp(-1j * theta * m * n) = w(m) * w(n) * conj(w(n - m))``, so the sum is
     one linear convolution, done with FFTs of the next power of two at least
-    ``M + num_points - 1``.  ``theta`` and ``omega * half_width`` are carried
-    as exact two-part products and every phase is formed by :func:`_phasors`;
-    the powers then agree with a long-double evaluation of the sum within
-    about 2e-13 of the peak at M=1024 and 4096 points.
+    ``M + num_points - 1``.  Every phase is formed by :func:`_phasors` from
+    the float64 products ``theta / 2`` and ``-omega * half_width``; the
+    powers then agree with a long-double evaluation of the sum within about
+    2.5e-13 of the peak at M=1024 and 4096 points.
     """
     m_count = coefficients.size
     j = np.arange(max(m_count, num_points), dtype=float)
-    theta, theta_err = _two_product(omega, 2.0 * half_width / (num_points - 1))
-    chirp = _phasors((theta / 2.0, theta_err / 2.0), j * j)
-    start = _phasors(_two_product(-omega, half_width), j[:m_count])
+    theta = omega * (2.0 * half_width / (num_points - 1))
+    chirp = _phasors(theta / 2.0, j * j)
+    start = _phasors(-omega * half_width, j[:m_count])
     size = 1 << (m_count + num_points - 2).bit_length()
     # row 0 the chirped input, row 1 the kernel conj(w(j)) at j and size - j
     rows = np.zeros((2, size), dtype=complex)
@@ -311,7 +294,7 @@ def fold_delay(tau: float, modulus: float, half_width: float) -> float:
     if not modulus > 0:
         raise ValueError("modulus must be positive")
     r = tau - round(tau / modulus) * modulus
-    if abs(r) <= half_width * (1.0 + 1e-12) + 1e-18:
+    if abs(r) <= half_width * (1.0 + 1e-12):
         return float(min(max(r, -half_width), half_width))
     raise ValueError(
         f"no representative of {tau:g} (mod {modulus:g}) lies within "

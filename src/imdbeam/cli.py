@@ -458,18 +458,18 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             notes.append(f"line {k} absent after the transmit chain; sweep skipped")
 
     directions: list[tuple[float, str]] = []
+    delta = cfg.geometry.element_delay
 
     def _add_direction(tau: float, kind: str):
         # directions that agree to rounding noise are one physical direction
         for i, (existing, label) in enumerate(directions):
-            if abs(existing - tau) <= 1e-9 * max(1.0, abs(existing)):
+            if abs(existing - tau) <= 1e-9 * delta:
                 directions[i] = (existing, f"{label}; {kind}")
                 return
         directions.append((tau, kind))
 
     for t, tau in zip(cfg.tones, cfg.targets):
         _add_direction(tau, f"target of tone {t.index}")
-    delta = cfg.geometry.element_delay
     for k, tau, modulus in (
         (dd.upper_index, dd.upper_tau, dd.upper_modulus),
         (dd.lower_index, dd.lower_tau, dd.lower_modulus),
@@ -732,6 +732,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    for flag in ("alpha", "phi1", "phi2"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigError(f"--{flag}", "must be a finite number")
     terms = two_tone_third_order_terms(args.k1, args.k2, args.phi1, args.phi2, args.alpha)
     print(f"{'index':>6}  {'amplitude':>16}  {'phase_rad':>16}")
     for k, amp, phase in terms:

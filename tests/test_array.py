@@ -105,6 +105,38 @@ class TestSteerTones:
         with pytest.raises(ValueError):
             steer_tones(GRID, GEO_MU, {9: 0.1, 65: 0.1})
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.integers(1, 64),
+        st.lists(
+            st.tuples(
+                st.floats(-np.pi, np.pi),
+                st.one_of(st.floats(-1.0, 1.0), st.floats(-1e12, 1e12)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_phase_table_is_the_scalar_formula(self, base_rate, m_count, tones):
+        grid = FrequencyGrid(base_rate, 64)
+        targets = {k: tau for k, (_, tau) in enumerate(tones, start=7)}
+        base = {k: b for k, (b, _) in enumerate(tones, start=7)}
+        a = steer_tones(grid, ArrayGeometry(m_count, 0.5), targets, base_phases=base)
+        expected = tuple(
+            tuple(
+                (base[k] + m * grid.omega(k) * targets[k]) % (2 * np.pi)
+                for k in sorted(targets)
+            )
+            for m in range(m_count)
+        )
+        assert a.phases == expected  # bit for bit
+        assert all(type(p) is float for row in a.phases for p in row)
+
+    def test_non_finite_phase_rejected_without_warning(self):
+        with pytest.raises(ValueError, match="phases must be finite"):
+            steer_tones(GRID, GEO_MU, {9: 1e308, 11: 0.1})
+
     def test_antenna_spectrum(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2}, amplitudes={9: 2.0, 11: 0.5})
         s = a.antenna_spectrum(1)
@@ -521,6 +553,13 @@ class TestDelayHelpers:
         assert fold_delay(0.0, 1.0, 0.5) == 0.0
         with pytest.raises(ValueError):
             fold_delay(0.4, 1.0, 0.05)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-9, 1e9])
+    def test_fold_delay_is_independent_of_units(self, scale):
+        folded = fold_delay(4.8 / 13 * scale, scale / 13, 0.03 * scale)
+        assert folded == pytest.approx(-0.2 / 13 * scale, rel=1e-9)
+        with pytest.raises(ValueError):
+            fold_delay(0.4 * scale, scale, 0.05 * scale)
 
     def test_delay_to_angle(self):
         assert delay_to_angle(0.05, 0.1) == pytest.approx(np.pi / 6, rel=1e-12)

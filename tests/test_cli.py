@@ -4,6 +4,7 @@ command-line entry point."""
 import copy
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -505,6 +506,15 @@ class TestMain:
         out = capsys.readouterr().out
         assert "1.225" in out and "0.075" in out and "0.025" in out
 
+    @pytest.mark.parametrize("flag", ["--alpha", "--phi1", "--phi2"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_expand_rejects_non_finite_flags(self, capsys, flag, value):
+        argv = ["expand", "--k1", "9", "--k2", "11", "--alpha", "0.1", flag, value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag}: must be a finite number" in err
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))
         out = tmp_path / "sweep"
@@ -625,3 +635,88 @@ class TestMain:
         (summary,) = [p for p in report["patterns"] if p["freq_index"] == 13]
         expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+
+# a delay printed inside report text: a direction's location, a folded
+# direction's origin, a skipped direction's note
+DELAY_IN_TEXT = re.compile(r"(tau=|folded from )([^)\s;]+)")
+
+
+def text_and_delays(text: str) -> tuple[str, list[float]]:
+    delays = [float(m[2]) for m in DELAY_IN_TEXT.finditer(text)]
+    return DELAY_IN_TEXT.sub(r"\1...", text), delays
+
+
+class TestScaleInvariance:
+    """Multiplying every frequency by ``s`` and dividing every delay by ``s``
+    keeps every phase ``omega * tau``, so the report must not change beyond
+    rounding: a run is the same scenario in rad/s and s as in GHz and ns."""
+
+    def run_scaled(self, tmp_path, element_delay: float, scale: float) -> str:
+        doc = multi_user_config(baseline={"trials": 64}, sweep_points=256, seed=1234)
+        doc["grid"]["base_rate"] *= scale
+        doc["geometry"]["element_delay"] = element_delay / scale
+        for target in doc["targets"]:
+            target["tau"] /= scale
+        path = tmp_path / f"scaled_{scale:g}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out_{scale:g}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        return (out / "report.json").read_text()
+
+    @staticmethod
+    def assert_same_text(text, ref, scale):
+        # delays printed with 12 significant digits agree to that precision
+        body, delays = text_and_delays(text)
+        ref_body, ref_delays = text_and_delays(ref)
+        assert body == ref_body
+        assert [d * scale for d in delays] == pytest.approx(ref_delays, rel=1e-11)
+
+    @staticmethod
+    def assert_close(value, ref):
+        if isinstance(ref, str):  # the "-inf" ACLR marker
+            assert value == ref
+        else:
+            assert value == pytest.approx(ref, rel=1e-9)
+
+    # element_delay 0.3 folds the line-13 direction into the principal interval
+    @pytest.mark.parametrize("element_delay", [0.5, 0.3])
+    @pytest.mark.parametrize("scale", [1e-307, 1e-9, 1e-3, 1e3, 1e9, 1e299])
+    def test_report_is_independent_of_units(self, tmp_path, capsys, element_delay, scale):
+        ref_text = self.run_scaled(tmp_path, element_delay, 1.0)
+        text = self.run_scaled(tmp_path, element_delay, scale)
+        capsys.readouterr()
+        assert '"nan"' not in text
+        ref, rep = json.loads(ref_text), json.loads(text)
+
+        assert len(rep["notes"]) == len(ref["notes"])
+        for note, ref_note in zip(rep["notes"], ref["notes"]):
+            self.assert_same_text(note, ref_note, scale)
+        assert len(rep["directions"]) == len(ref["directions"]) == 4
+        for d, ref_d in zip(rep["directions"], ref["directions"]):
+            self.assert_same_text(d["kind"], ref_d["kind"], scale)
+            self.assert_same_text(d["location"], ref_d["location"], scale)
+            assert d["tau"] * scale == pytest.approx(ref_d["tau"], rel=1e-12)
+            assert d["array_gain_by_line"].keys() == ref_d["array_gain_by_line"].keys()
+            for k, gain in d["array_gain_by_line"].items():
+                self.assert_close(gain, ref_d["array_gain_by_line"][k])
+        locations = rep["ports"] + rep["directions"]
+        for loc, ref_loc in zip(locations, ref["ports"] + ref["directions"]):
+            for key in ("evm", "aclr_lower_db", "aclr_upper_db"):
+                self.assert_close(loc[key], ref_loc[key])
+
+        patterns = rep["patterns"] + rep["baseline"]["patterns"]
+        ref_patterns = ref["patterns"] + ref["baseline"]["patterns"]
+        lines = [p["freq_index"] for p in patterns]
+        assert lines == [p["freq_index"] for p in ref_patterns]
+        for p, ref_p in zip(patterns, ref_patterns):
+            self.assert_close(p["peak_gain"], ref_p["peak_gain"])
+            self.assert_close(p["contrast"], ref_p["contrast"])
+            # a lobe between two grid points may report either or both of
+            # them, as rounding decides; each must lie within a sweep step
+            step = (ref_p["tau_stop"] - ref_p["tau_start"]) / (ref_p["points"] - 1)
+            taus = np.array(p["peak_taus"]) * scale
+            ref_taus = np.array(ref_p["peak_taus"])
+            gaps = np.abs(taus[:, None] - ref_taus[None, :])
+            assert gaps.min(axis=1).max() <= step * (1 + 1e-9)
+            assert gaps.min(axis=0).max() <= step * (1 + 1e-9)
