@@ -104,9 +104,6 @@ class SteeringAssignment:
         if not np.isfinite(self.phases).all():
             raise ValueError("phases must be finite")
 
-    def phase(self, antenna: int, tone_index: int) -> float:
-        return self.phases[antenna][self.tone_indices.index(tone_index)]
-
     def antenna_spectrum(self, antenna: int) -> LineSpectrum:
         """Multi-tone input driving the given antenna's device."""
         row = self.input_signal().phasors[antenna]

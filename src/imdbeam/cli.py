@@ -654,18 +654,12 @@ def _write_atomic(path: str, data: str):
         raise
 
 
-def _tau_column(taus) -> list[str]:
-    return [f"{tau:.12g}" for tau in taus.tolist()]
-
-
-def _pattern_csv(pattern: Pattern, tau_column: list[str]) -> str:
-    """CSV rows of ``pattern``; ``tau_column`` is ``_tau_column(pattern.taus)``,
-    formatted once for all the sweeps of a run."""
-    rows = ["tau_rx_seconds,power_linear,power_db"]
-    for tau, p in zip(tau_column, pattern.powers.tolist()):
-        db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
-        rows.append(f"{tau},{p:.12g},{db:.12g}")
-    return "\n".join(rows) + "\n"
+def _pattern_csv(pattern: Pattern) -> str:
+    """CSV rows of ``pattern``: delay, linear power and power in dB."""
+    powers = pattern.powers.tolist()
+    dbs = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in powers]
+    rows = ["%.12g,%.12g,%.12g\n" % row for row in zip(pattern.taus.tolist(), powers, dbs)]
+    return "tau_rx_seconds,power_linear,power_db\n" + "".join(rows)
 
 
 def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
@@ -674,14 +668,11 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     leaves a partial ``report.json``."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    sweeps = [(p, False) for p in bundle.patterns]
-    sweeps += [(p, True) for p in bundle.baseline_patterns]
-    # every sweep of a run, baseline ones too, is on the config's one delay grid
-    tau_column = _tau_column(sweeps[0][0].taus) if sweeps else []
-    for pattern, baseline in sweeps:
-        path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
-        _write_atomic(path, _pattern_csv(pattern, tau_column))
-        written.append(path)
+    for baseline, patterns in ((False, bundle.patterns), (True, bundle.baseline_patterns)):
+        for pattern in patterns:
+            path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
+            _write_atomic(path, _pattern_csv(pattern))
+            written.append(path)
     report = json.dumps(bundle_to_jsonable(bundle), indent=2, sort_keys=True, allow_nan=False)
     path = os.path.join(out_dir, "report.json")
     _write_atomic(path, report + "\n")
@@ -735,7 +726,15 @@ def _cmd_expand(args) -> int:
     for flag in ("alpha", "phi1", "phi2"):
         if not math.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag}", "must be a finite number")
+    if args.k1 < 1:
+        raise ConfigError("--k1", "must be a positive integer")
+    if args.k2 <= args.k1:
+        raise ConfigError("--k2", "must exceed --k1")
     terms = two_tone_third_order_terms(args.k1, args.k2, args.phi1, args.phi2, args.alpha)
+    if not all(math.isfinite(amp) for _, amp, _ in terms):
+        raise ConfigError("--alpha", "the term amplitudes overflow floating point")
+    if not all(math.isfinite(phase) for _, _, phase in terms):
+        raise ConfigError("--phi1/--phi2", "the term phases overflow floating point")
     print(f"{'index':>6}  {'amplitude':>16}  {'phase_rad':>16}")
     for k, amp, phase in terms:
         print(f"{k:>6}  {amp:>16.12g}  {phase:>16.12g}")
@@ -744,6 +743,8 @@ def _cmd_expand(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
+    if args.line < 0:
+        raise ConfigError("line", "must be a non-negative line index")
     _, signal = _scenario_signal(cfg)
     try:
         pattern = pattern_sweep(signal, args.line, cfg.geometry, cfg.sweep_points)
@@ -752,8 +753,7 @@ def _cmd_sweep(args) -> int:
     csv_name = _pattern_csv_name(args.line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        csv = _pattern_csv(pattern, _tau_column(pattern.taus))
-        _write_atomic(os.path.join(args.out, csv_name), csv)
+        _write_atomic(os.path.join(args.out, csv_name), _pattern_csv(pattern))
     summary = _jsonable(_pattern_jsonable(pattern, csv_name))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

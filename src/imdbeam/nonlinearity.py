@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridRangeError
-from .spectra import ArraySignal
+from .spectra import ArraySignal, _signed, _superpose
 
 MAX_DEGREE = 9
 
@@ -129,25 +129,17 @@ def _contains(interval: Interval, k):
     return (interval[0] <= k) & (k <= interval[1])
 
 
-def _signed(support: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both halves of a conjugate-symmetric line set stored one-sided."""
-    mirror = support > 0
-    return (
-        np.concatenate((-support[mirror][::-1], support)),
-        np.concatenate((phasors[:, mirror][:, ::-1].conj(), phasors), axis=1),
-    )
-
-
 def apply_polynomial(x: ArraySignal, f: PolynomialNonlinearity) -> ArraySignal:
     """Exact line spectrum of ``f(x(t))`` per antenna, of the same type as
     ``x`` (a :class:`LineSpectrum` is the one-antenna case).
 
     Each power ``x**p`` is the direct convolution of ``x**(p-1)`` with the
     signed lines of ``x``: one scatter-add over all antennas of every
-    pairwise product, so lines no product reaches stay exact zeros.  Only
-    the non-negative half of a power is formed; its negative half is the
-    conjugate.  The grid must be able to hold the highest product:
-    ``degree * k_top`` where ``k_top`` is the largest index present in ``x``.
+    pairwise product (``spectra._superpose``, which prunes nothing), so
+    lines no product reaches stay exact zeros.  Only the non-negative half
+    of a power is formed; its negative half is the conjugate.  The grid
+    must be able to hold the highest product: ``degree * k_top`` where
+    ``k_top`` is the largest index present in ``x``.
     """
     k_top = int(x.support[-1]) if x.support.size else 0
     if f.degree * k_top > x.grid.max_index:
@@ -166,9 +158,7 @@ def apply_polynomial(x: ArraySignal, f: PolynomialNonlinearity) -> ArraySignal:
                 x.num_antennas, -1
             )
             half = sums >= 0
-            power_k, column = np.unique(sums[half], return_inverse=True)
-            power_c = np.zeros((x.num_antennas, power_k.size), dtype=complex)
-            np.add.at(power_c, (slice(None), column), products[:, half])
+            power_k, power_c = _superpose(sums[half], products[:, half])
         if a:
             terms_k.append(power_k)
             terms_c.append(a * power_c)

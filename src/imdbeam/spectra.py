@@ -68,6 +68,24 @@ def _line_factor(index):
     return np.where(np.asarray(index) == 0, 1.0, 2.0)
 
 
+def _superpose(lines, phasors) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``lines`` and the ``(M, L)`` matrix in which each
+    column of ``phasors`` is added, in column order, to its line's column."""
+    lines, column = np.unique(lines, return_inverse=True)
+    merged = np.zeros((np.shape(phasors)[0], lines.size), dtype=complex)
+    np.add.at(merged, (slice(None), column), phasors)
+    return lines, merged
+
+
+def _signed(support: np.ndarray, phasors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both halves of a conjugate-symmetric line set stored one-sided."""
+    mirror = support > 0
+    return (
+        np.concatenate((-support[mirror][::-1], support)),
+        np.concatenate((phasors[:, mirror][:, ::-1].conj(), phasors), axis=1),
+    )
+
+
 def _columns(support: np.ndarray, phasors: np.ndarray, indices) -> np.ndarray:
     """Columns of ``phasors`` (one per line of the sorted ``support``) at the
     non-negative line ``indices``, zero where a line is absent."""
@@ -88,9 +106,10 @@ class ArraySignal:
     and one complex ``(M, L)`` matrix ``phasors``: row ``m`` holds antenna
     ``m``'s coefficients at those indices, an exact zero where the antenna
     has no line.  The coefficient at ``-k`` is the conjugate of the one at
-    ``+k`` and is not stored.  :meth:`_store` is the one place where
-    repeated lines superpose, the coefficient at 0 is made real, the grid
-    range is checked and coefficients below ``PRUNE_THRESHOLD`` are dropped.
+    ``+k`` and is not stored.  :meth:`_store` is the one place where the
+    coefficient at 0 is made real, the grid range is checked and
+    coefficients below ``PRUNE_THRESHOLD`` are dropped; repeated lines
+    superpose through :func:`_superpose`, as in ``apply_polynomial``.
     """
 
     __slots__ = ("grid", "support", "phasors")
@@ -125,9 +144,7 @@ class ArraySignal:
             raise GridRangeError(
                 f"line indices must lie in [0, {grid.max_index}] on this grid"
             )
-        lines, column = np.unique(lines, return_inverse=True)
-        merged = np.zeros((np.shape(phasors)[0], lines.size), dtype=complex)
-        np.add.at(merged, (slice(None), column), phasors)
+        lines, merged = _superpose(lines, phasors)
         if lines.size and lines[0] == 0:
             merged[:, 0] = merged[:, 0].real
         merged[np.abs(merged) < PRUNE_THRESHOLD] = 0.0
@@ -241,8 +258,8 @@ class LineSpectrum(ArraySignal):
 
     def items(self):
         """Signed ``(index, coefficient)`` pairs in ascending index order."""
-        half = list(zip(self.support.tolist(), self.phasors[0].tolist()))
-        return iter([(-k, c.conjugate()) for k, c in reversed(half) if k] + half)
+        lines, phasors = _signed(self.support, self.phasors)
+        return zip(lines.tolist(), phasors[0].tolist())
 
     def coefficient(self, index: int) -> complex:
         return complex(self.coefficients(index)[0])
@@ -253,10 +270,6 @@ class LineSpectrum(ArraySignal):
 
     def phase(self, index: int) -> float:
         return float(np.angle(self.coefficient(index)))
-
-    def as_real_tones(self) -> list[tuple[int, float, float]]:
-        """``(index, amplitude, phase)`` triples, one per non-negative line."""
-        return [(k, self.amplitude(k), self.phase(k)) for k in self.indices()]
 
     def line_power(self, index: int) -> float:
         """Mean-square power carried by the line (see :meth:`line_powers`)."""
@@ -337,10 +350,6 @@ class SampledWaveform:
         object.__setattr__(self, "samples", samples)
         if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 def sample_waveform(s: LineSpectrum, periods: int, samples_per_period: int) -> SampledWaveform:

@@ -402,7 +402,7 @@ class TestEmit:
         assert doc["ports"][0]["evm"] == 0.0
 
     def test_shared_delay_column_keeps_csv_bytes(self, tmp_path):
-        # emit formats the delay column once for all sweeps of a run
+        # every CSV of a run, baseline sweeps too, has the row-by-row bytes
         cfg = parse(multi_user_config(baseline={"trials": 60}, sweep_points=300))
         bundle = run_scenario(cfg)
         emit(bundle, str(tmp_path))
@@ -515,6 +515,27 @@ class TestMain:
         assert out == ""
         assert f"{flag}: must be a finite number" in err
 
+    @pytest.mark.parametrize("k1, k2, flag", [("0", "11", "--k1"), ("11", "9", "--k2")])
+    def test_expand_rejects_bad_tone_indices(self, capsys, k1, k2, flag):
+        assert main(["expand", "--k1", k1, "--k2", k2, "--alpha", "0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag}: " in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--alpha", "1e308"], "--alpha"),
+            (["--alpha", "0.1", "--phi2", "1e308"], "--phi1/--phi2"),
+            (["--alpha", "0.1", "--phi1=-1e308"], "--phi1/--phi2"),
+        ],
+    )
+    def test_expand_rejects_an_overflowing_table(self, capsys, flags, field):
+        assert main(["expand", "--k1", "9", "--k2", "11", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{field}: " in err and "overflow" in err
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))
         out = tmp_path / "sweep"
@@ -529,6 +550,26 @@ class TestMain:
         path = self.write_config(tmp_path, base_config(sweep_points=64))
         assert main(["sweep", "--config", path, "--line", "14"]) == 2
         assert "no antenna carries" in capsys.readouterr().err
+
+    def test_sweep_rejects_a_negative_line(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, base_config(sweep_points=64))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", path, "--line", "-13", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert "line: must be a non-negative line index" in err
+        assert not out.exists()
+
+    def test_sweep_accepts_line_zero(self, tmp_path, capsys):
+        # x + 0.1*x**2 puts a constant at line 0; the keep window passes it
+        doc = base_config(
+            sweep_points=64,
+            nonlinearity={"coefficients": [1.0, 0.1]},
+            band={"in_band": [8, 12], "adjacent_width": 4, "keep_window": [0, 24]},
+        )
+        path = self.write_config(tmp_path, doc)
+        assert main(["sweep", "--config", path, "--line", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["freq_index"] == 0
 
     def test_runtime_failure_carries_scenario_context(self, tmp_path, capsys):
         # parses fine, but a single matched noise power cannot cover a
@@ -635,6 +676,18 @@ class TestMain:
         (summary,) = [p for p in report["patterns"] if p["freq_index"] == 13]
         expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
+
+    def test_sweep_writes_the_run_csv(self, tmp_path, capsys):
+        path, report = self.run_readme_config(tmp_path)
+        assert len(report["patterns"]) == 4
+        for p in report["patterns"]:
+            line = str(p["freq_index"])
+            argv = ["sweep", "--config", path, "--line", line, "--out", str(tmp_path / "sweep")]
+            assert main(argv) == 0
+            name = p["csv"]
+            run_bytes = (tmp_path / "run" / name).read_bytes()
+            assert (tmp_path / "sweep" / name).read_bytes() == run_bytes
+        capsys.readouterr()
 
 
 # a delay printed inside report text: a direction's location, a folded

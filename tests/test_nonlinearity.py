@@ -79,6 +79,15 @@ class TestApplyPolynomial:
         for k, amp in EXPANSION_01.items():
             assert y.amplitude(k) == pytest.approx(amp, rel=1e-12)
 
+    def test_intermediate_powers_are_not_pruned(self):
+        # x**3 of 1e-5 tones has coefficients below PRUNE_THRESHOLD; only the
+        # sum, where a_3 = 100 lifts them above it, is pruned
+        x = tone(GRID, 1e-5, 9) + tone(GRID, 1e-5, 11)
+        y = apply_polynomial(x, PolynomialNonlinearity((1.0, 0.0, 100.0)))
+        assert y.indices() == tuple(sorted(EXPANSION_01))
+        for k in (7, 13):
+            assert y.amplitude(k) == pytest.approx(75.0 * 1e-15, rel=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
     def test_second_order_null_near_band(self, alpha):
         # after the transmit chain, a second-order device adds nothing near
