@@ -14,7 +14,7 @@ draws the phases of a whole trial chunk.
 The trial-averaged pattern is a quadratic form in the per-trial coefficient
 vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
 ``mean_pattern`` sums ``G`` serially over fixed trial chunks, in chunk order,
-and sweeps it once.
+and sweeps it by one chirp-z transform of its lag sums ``sum_m G[m + d, m]``.
 """
 
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ from .array import (
     ArraySignal,
     Pattern,
     _build_pattern,
+    _chirp_z,
     _sweep_grid,
-    steering,
 )
 from .errors import GridMismatchError
 from .spectra import TWO_PI, _line_factor
@@ -146,13 +146,12 @@ def mean_pattern(
     Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
     order, so the result is bit-identical on every run.  Each chunk
     contributes its coefficient covariance ``sum_t conj(c_t) c_t^T``; the
-    total is swept once.
+    total's lag sums are swept once, by chirp-z, at M**2 plus FFT cost.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
     taus, tol = _sweep_grid(desired, freq_index, geometry, num_points)
     m_count = geometry.num_antennas
-    steer = steering(m_count, desired.grid.omega(freq_index) * taus)
     c_des = desired.coefficients(freq_index)
     antennas = np.arange(m_count)
     total = np.zeros((m_count, m_count), dtype=complex)
@@ -160,10 +159,14 @@ def mean_pattern(
         trials = np.arange(lo, min(lo + TRIAL_CHUNK, cfg.trials))
         coeffs = c_des[None, :] + _noise(cfg, trials[:, None], antennas, freq_index)
         total += coeffs.conj().T @ coeffs
-    # line power of Re(s^H G s) per steering column s; it is >= 0 exactly, so
-    # a negative value is rounding near a null
-    quad = ((total @ steer) * steer.conj()).sum(axis=0).real
-    powers = np.maximum(_line_factor(freq_index) * quad / cfg.trials, 0.0)
+    # with h_d = sum_m G[m + d, m] and h_0 halved, s^H G s = 2 Re sum_d h_d e^{i d omega tau}
+    # is >= 0 exactly, so a negative value is rounding near a null
+    lags = np.subtract.outer(antennas, antennas)
+    lag, g = lags[lags >= 0], total[lags >= 0]
+    h = np.bincount(lag, g.real) + 1j * np.bincount(lag, g.imag)
+    h[0] /= 2.0
+    swept = _chirp_z(h.conj(), desired.grid.omega(freq_index), geometry.element_delay, num_points)
+    powers = np.maximum(_line_factor(freq_index) * 2.0 * swept.real / cfg.trials, 0.0)
     # expected per-port line power: desired line plus the configured noise
     port_total = desired.port_line_power_total(freq_index) + (
         m_count * cfg.per_antenna_line_power

@@ -57,9 +57,9 @@ from .nonlinearity import (
 )
 from .spectra import FrequencyGrid
 
-# Largest complex matrix a run may form: a sweep's antennas x sweep points
-# steering matrix, and with a baseline its antennas x antennas covariance.
-# 2**24 elements take 256 MiB.
+# Largest sweep work a run may ask for: a weakly radiated line is summed delay
+# by delay, antennas x sweep points complex products.  With a baseline it also
+# caps the antennas x antennas covariance; 2**24 complex elements take 256 MiB.
 MAX_SWEEP_ELEMENTS = 2**24
 
 
@@ -332,8 +332,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
             "sweep_points",
-            f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}: a sweep forms "
-            f"{num_antennas} x sweep_points complex matrices",
+            f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}: a sweep may sum "
+            f"{num_antennas} x sweep_points complex products",
         )
     if baseline is not None and num_antennas**2 > MAX_SWEEP_ELEMENTS:
         raise ConfigError(

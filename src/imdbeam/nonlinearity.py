@@ -184,9 +184,10 @@ def two_tone_third_order_terms(
         raise GridRangeError("tone indices must be positive integers")
     if not k1 < k2:
         raise ValueError("tone indices must satisfy k1 < k2")
-    a_fund = 1.0 + 9.0 * alpha / 4.0
-    a_mix = 3.0 * alpha / 4.0
-    a_harm = alpha / 4.0
+    # scaled by exact binary fractions, so no product overflows before a division
+    a_fund = 1.0 + 2.25 * alpha
+    a_mix = 0.75 * alpha
+    a_harm = 0.25 * alpha
     diff = k2 - 2 * k1
     diff_phase = phi2 - 2.0 * phi1
     if diff < 0:

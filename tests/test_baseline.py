@@ -357,6 +357,10 @@ class TestCovarianceSweep:
         m_count=8, trials=2 * TRIAL_CHUNK + 7, power=0.0, des_re=0.3, des_im=0.4,
         null_at=None, seed=-(2**63),
     )
+    # fewer trials than antennas
+    @example(
+        m_count=8, trials=3, power=0.003, des_re=0.6, des_im=-0.2, null_at=None, seed=11
+    )
     # a desired null on a sweep point, where rounding of the quadratic form
     # gave a negative power
     @example(
@@ -379,4 +383,13 @@ class TestCovarianceSweep:
         assert np.array_equal(mp.taus, taus)
         ref = _direct_mean_powers(cfg, desired, geometry, 13, taus)
         assert np.all(mp.powers >= 0.0)
+        np.testing.assert_allclose(mp.powers, ref, rtol=0, atol=1e-12 * ref.max())
+
+    def test_wide_array_with_few_trials_matches_direct(self):
+        geometry = ArrayGeometry(64, 1.0 / 26.0)
+        c_des = 0.3 * np.exp(0.7j * np.arange(64))
+        desired = ArraySignal.from_phasors(GRID, [13], c_des[:, None])
+        cfg = NoiseModelConfig((13,), 0.003, 4, 11)
+        mp = mean_pattern(cfg, desired, geometry, 13, 512)
+        ref = _direct_mean_powers(cfg, desired, geometry, 13, mp.taus)
         np.testing.assert_allclose(mp.powers, ref, rtol=0, atol=1e-12 * ref.max())

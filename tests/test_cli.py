@@ -536,6 +536,15 @@ class TestMain:
         assert out == ""
         assert f"{field}: " in err and "overflow" in err
 
+    @pytest.mark.parametrize("alpha", ["--alpha=5e307", "--alpha=-5e307"])
+    def test_expand_accepts_a_finite_table_near_overflow(self, capsys, alpha):
+        # 9 * alpha overflows, but the fundamentals' 1 + 2.25 * alpha does not
+        assert main(["expand", "--k1", "9", "--k2", "11", alpha]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        amplitudes = [float(row.split()[1]) for row in rows]
+        assert len(amplitudes) == 8 and all(math.isfinite(a) for a in amplitudes)
+        assert abs(amplitudes[0]) == pytest.approx(1.125e308, rel=1e-12)
+
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))
         out = tmp_path / "sweep"
