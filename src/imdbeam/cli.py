@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -382,7 +383,7 @@ def config_to_jsonable(cfg: ScenarioConfig) -> dict:
     to an equal config.  Each section is a dataclass whose fields are its
     keys; the device is stored as ``nonlinearity`` and every target next to
     its tone index."""
-    doc = _jsonable(cfg)
+    doc = dataclasses.asdict(cfg)
     doc["nonlinearity"] = doc.pop("device")
     doc["targets"] = [
         {"index": t.index, "tau": tau} for t, tau in zip(cfg.tones, cfg.targets)
@@ -552,28 +553,21 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
 # --------------------------------------------------------------------------
 
 
-def _json_num(x):
-    """Finite numbers pass through; non-finite become explicit markers."""
-    x = float(x)
-    return x if math.isfinite(x) else str(x)
-
-
 def _fields(x, *drop: str) -> dict:
-    """A dataclass's fields by name, less those in ``drop``; the values are
-    left unconverted, so a document built from them takes one _jsonable."""
-    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in drop}
+    """A dataclass's fields by name, less those in ``drop``.  A non-finite
+    float field becomes its string marker (``"-inf"``); other values are left
+    as they are.  ``_dumps`` also calls it on every nested dataclass, so the
+    rest of a document must already be JSON: string keys, finite floats."""
+    doc = {f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in drop}
+    for name, v in doc.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            doc[name] = str(v)
+    return doc
 
 
-def _jsonable(x):
-    """JSON form of report values: dataclasses and mappings become objects
-    with string keys, tuples become lists, floats pass through _json_num."""
-    if dataclasses.is_dataclass(x):
-        x = _fields(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return _json_num(x) if isinstance(x, float) else x
+def _dumps(doc) -> str:
+    """The JSON text of a report, compare or sweep document."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_fields)
 
 
 def _pattern_jsonable(pattern: Pattern, csv_name: str) -> dict:
@@ -607,18 +601,13 @@ def _baseline_jsonable(bundle: ReportBundle) -> dict:
 
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
     cfg, assignment, dd = bundle.config, bundle.assignment, bundle.distortion
-    doc = {
+    return {
         "provenance": {
             "config_sha256": config_hash(cfg),
             "version": __version__,
             "seed": cfg.seed,
         },
-        "steering": {
-            "tone_indices": assignment.tone_indices,
-            "amplitudes": assignment.amplitudes,
-            "targets": assignment.targets,
-            "phases": assignment.phases,
-        },
+        "steering": _fields(assignment, "grid", "geometry"),
         "distortion_directions": {
             side: {
                 "line_index": getattr(dd, f"{side}_index"),
@@ -628,8 +617,10 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             for side in ("upper", "lower")
         },
         "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
+        # line indices as strings: sort_keys would order int keys by number
         "directions": [
             {"tau": d.tau, "kind": d.kind, **_fields(d.report)}
+            | {"array_gain_by_line": {str(k): g for k, g in d.report.array_gain_by_line.items()}}
             for d in bundle.directions
         ],
         "patterns": [
@@ -637,8 +628,8 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
         ],
         "notes": bundle.notes,
         "baseline": None if cfg.baseline is None else _baseline_jsonable(bundle),
+        "config": config_to_jsonable(cfg),
     }
-    return _jsonable(doc) | {"config": config_to_jsonable(cfg)}
 
 
 def _write_atomic(path: str, data: str):
@@ -673,9 +664,8 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
             path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
             _write_atomic(path, _pattern_csv(pattern))
             written.append(path)
-    report = json.dumps(bundle_to_jsonable(bundle), indent=2, sort_keys=True, allow_nan=False)
     path = os.path.join(out_dir, "report.json")
-    _write_atomic(path, report + "\n")
+    _write_atomic(path, _dumps(bundle_to_jsonable(bundle)) + "\n")
     written.append(path)
     return written
 
@@ -754,8 +744,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, csv_name), _pattern_csv(pattern))
-    summary = _jsonable(_pattern_jsonable(pattern, csv_name))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(_dumps(_pattern_jsonable(pattern, csv_name)))
     return 0
 
 
@@ -763,8 +752,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
     if cfg.baseline is None:
         raise ConfigError("baseline", "compare requires baseline settings in the config")
-    doc = _jsonable(_baseline_jsonable(_run_with_context(cfg)))
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    text = _dumps(_baseline_jsonable(_run_with_context(cfg)))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_atomic(os.path.join(args.out, "compare.json"), text + "\n")
@@ -803,6 +791,8 @@ def _build_parser() -> argparse.ArgumentParser:
     expand_p.add_argument("--alpha", type=float, required=True)
     expand_p.add_argument("--phi1", type=float, default=0.0)
     expand_p.add_argument("--phi2", type=float, default=0.0)
+    # argparse before 3.14 takes "-5e307" for an option, not a negative value
+    expand_p._negative_number_matcher = re.compile(r"^-\.?\d")
     expand_p.set_defaults(handler=_cmd_expand)
 
     sweep_p = sub.add_parser("sweep", help="pattern sweep of a single line")

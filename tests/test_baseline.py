@@ -124,12 +124,15 @@ class TestIndependentNoiseTransmit:
 
 
 class TestMeanPattern:
-    def test_single_trial_matches_sweep(self):
+    @pytest.mark.parametrize("seed", [1, 2, 6, 42])
+    def test_single_trial_matches_sweep(self, seed):
         _, desired = scenario()
-        cfg = NoiseModelConfig((13,), 0.005, 1, 42)
+        cfg = NoiseModelConfig((13,), 0.005, 1, seed)
         mp = mean_pattern(cfg, desired, GEO, 13, 64)
         sp = pattern_sweep(independent_noise_transmit(desired, cfg, 0), 13, GEO, 64)
-        np.testing.assert_allclose(mp.powers, sp.powers, rtol=1e-12)
+        # both sweeps round relative to the coherent sum, so a point near a
+        # deep null agrees only to the peak's precision
+        np.testing.assert_allclose(mp.powers, sp.powers, rtol=0, atol=1e-12 * sp.powers.max())
 
     def test_contrast_near_one(self):
         _, desired = scenario()

@@ -528,6 +528,7 @@ class TestMain:
             (["--alpha", "1e308"], "--alpha"),
             (["--alpha", "0.1", "--phi2", "1e308"], "--phi1/--phi2"),
             (["--alpha", "0.1", "--phi1=-1e308"], "--phi1/--phi2"),
+            (["--alpha", "-1e308"], "--alpha"),
         ],
     )
     def test_expand_rejects_an_overflowing_table(self, capsys, flags, field):
@@ -544,6 +545,20 @@ class TestMain:
         amplitudes = [float(row.split()[1]) for row in rows]
         assert len(amplitudes) == 8 and all(math.isfinite(a) for a in amplitudes)
         assert abs(amplitudes[0]) == pytest.approx(1.125e308, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "-5e307"), ("--alpha", "-1e-3"), ("--phi1", "-2e0"), ("--phi2", "-2e0")],
+    )
+    def test_expand_reads_a_negative_exponent_as_a_separate_word(self, capsys, flag, value):
+        # argparse alone reads "-5e307" after a flag as an unknown option
+        base = ["expand", "--k1", "9", "--k2", "11", "--alpha", "0.1"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main([*base, flag, value]) == 0
+        separate = capsys.readouterr().out
+        assert main([*base, f"{flag}={value}"]) == 0
+        assert capsys.readouterr().out == separate != default
 
     def test_sweep_command(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))

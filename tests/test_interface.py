@@ -169,6 +169,22 @@ def test_report_key_layout_of_readme_config(tmp_path):
     assert layout(report) == REPORT_LAYOUT
 
 
+def test_report_and_compare_keys_in_string_order(tmp_path):
+    # every object's keys sorted as strings, the line indices of
+    # array_gain_by_line too: "11" and "13" before "7" and "9"
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(README_CONFIG))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+    for name in ("report.json", "compare.json"):
+        text = (out / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    directions = json.loads((out / "report.json").read_text())["directions"]
+    assert all(set(d["array_gain_by_line"]) == {"7", "9", "11", "13"} for d in directions)
+
+
 def readme_block(language):
     """The one fenced ``language`` code block of the README."""
     (block,) = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.M | re.S)
