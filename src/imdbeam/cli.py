@@ -446,15 +446,14 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     assignment, signal = _scenario_signal(cfg)
     k1, k2 = assignment.tone_indices
     dd = distortion_delays(k1, k2, assignment)
+    products = tuple(k for k in (dd.upper_index, dd.lower_index) if signal.has_line(k))
+    noise_lines = () if cfg.baseline is None else (cfg.baseline.line_indices or products)
 
-    pattern_lines = []
-    for k in (k1, k2, dd.upper_index, dd.lower_index):
-        if k not in pattern_lines:
-            pattern_lines.append(k)
-    patterns = []
-    for k in pattern_lines:
+    # every line the report shows or contrasts is swept once, here
+    patterns: dict[int, Pattern] = {}
+    for k in dict.fromkeys((k1, k2, dd.upper_index, dd.lower_index, *noise_lines)):
         if signal.has_line(k):
-            patterns.append(pattern_sweep(signal, k, cfg.geometry, cfg.sweep_points))
+            patterns[k] = pattern_sweep(signal, k, cfg.geometry, cfg.sweep_points)
         else:
             notes.append(f"line {k} absent after the transmit chain; sweep skipped")
 
@@ -506,29 +505,19 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     contrasts: list[ModelContrast] = []
     baseline_line_power = None
     if cfg.baseline is not None:
-        products = [
-            k for k in (dd.upper_index, dd.lower_index) if signal.has_line(k)
-        ]
-        noise_lines = cfg.baseline.line_indices or tuple(products)
         if not noise_lines:
             notes.append("no distortion lines present; baseline comparison skipped")
         else:
             # parse_config keeps both tones inside band.in_band, so the
             # band filter passes the steered input unchanged
             desired = assignment.input_signal()
-            ncfg = matched_noise_config(
-                signal, tuple(noise_lines), cfg.baseline.trials, cfg.seed
-            )
+            ncfg = matched_noise_config(signal, noise_lines, cfg.baseline.trials, cfg.seed)
             baseline_line_power = ncfg.per_antenna_line_power
-            behavioral_by_line = {p.freq_index: p for p in patterns}
             for k in noise_lines:
                 bp = mean_pattern(ncfg, desired, cfg.geometry, k, cfg.sweep_points)
                 baseline_patterns.append(bp)
-                behavioral = behavioral_by_line.get(k)
-                if behavioral is None and signal.has_line(k):
-                    behavioral = pattern_sweep(signal, k, cfg.geometry, cfg.sweep_points)
-                if behavioral is not None:
-                    contrasts.append(model_contrast_report(behavioral, bp))
+                if k in patterns:
+                    contrasts.append(model_contrast_report(patterns[k], bp))
                 else:
                     notes.append(
                         f"behavioral signal has no line {k}; contrast report skipped"
@@ -540,7 +529,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         distortion=dd,
         ports=ports,
         directions=direction_entries,
-        patterns=patterns,
+        patterns=list(patterns.values()),
         baseline_patterns=baseline_patterns,
         contrasts=contrasts,
         baseline_line_power=baseline_line_power,
@@ -632,8 +621,11 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
     }
 
 
-def _write_atomic(path: str, data: str):
-    directory = os.path.dirname(path) or "."
+def _write(directory: str, name: str, data: str) -> str:
+    """Write ``data`` to ``directory/name``, creating the directory, and
+    return the path.  The file appears whole or not at all."""
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, name)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -643,6 +635,7 @@ def _write_atomic(path: str, data: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return path
 
 
 def _pattern_csv(pattern: Pattern) -> str:
@@ -654,19 +647,15 @@ def _pattern_csv(pattern: Pattern) -> str:
 
 
 def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
-    """Write ``report.json`` plus one CSV per pattern sweep; returns the
-    written paths.  The report is written atomically, so a failed run never
+    """Write one CSV per pattern sweep, then ``report.json``; returns the
+    written paths.  Each file is written atomically, so a failed run never
     leaves a partial ``report.json``."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for baseline, patterns in ((False, bundle.patterns), (True, bundle.baseline_patterns)):
-        for pattern in patterns:
-            path = os.path.join(out_dir, _pattern_csv_name(pattern.freq_index, baseline))
-            _write_atomic(path, _pattern_csv(pattern))
-            written.append(path)
-    path = os.path.join(out_dir, "report.json")
-    _write_atomic(path, _dumps(bundle_to_jsonable(bundle)) + "\n")
-    written.append(path)
+    written = [
+        _write(out_dir, _pattern_csv_name(p.freq_index, baseline), _pattern_csv(p))
+        for baseline, patterns in ((False, bundle.patterns), (True, bundle.baseline_patterns))
+        for p in patterns
+    ]
+    written.append(_write(out_dir, "report.json", _dumps(bundle_to_jsonable(bundle)) + "\n"))
     return written
 
 
@@ -689,13 +678,6 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
     return parse_config(text)
 
 
-def _resolve_out(args_out: str | None, cfg: ScenarioConfig) -> str:
-    out = args_out or cfg.output_dir
-    if not out:
-        raise ConfigError("output_dir", "pass --out DIR or set output_dir in the config")
-    return out
-
-
 def _run_with_context(cfg: ScenarioConfig) -> ReportBundle:
     try:
         return run_scenario(cfg)
@@ -705,9 +687,10 @@ def _run_with_context(cfg: ScenarioConfig) -> ReportBundle:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
-    bundle = _run_with_context(cfg)
-    out = _resolve_out(args.out, cfg)
-    written = emit(bundle, out)
+    out = args.out or cfg.output_dir
+    if not out:
+        raise ConfigError("output_dir", "pass --out DIR or set output_dir in the config")
+    written = emit(_run_with_context(cfg), out)
     print(f"wrote {len(written)} files to {out}")
     return 0
 
@@ -742,8 +725,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("line", str(e)) from None
     csv_name = _pattern_csv_name(args.line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_atomic(os.path.join(args.out, csv_name), _pattern_csv(pattern))
+        _write(args.out, csv_name, _pattern_csv(pattern))
     print(_dumps(_pattern_jsonable(pattern, csv_name)))
     return 0
 
@@ -754,8 +736,7 @@ def _cmd_compare(args) -> int:
         raise ConfigError("baseline", "compare requires baseline settings in the config")
     text = _dumps(_baseline_jsonable(_run_with_context(cfg)))
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_atomic(os.path.join(args.out, "compare.json"), text + "\n")
+        _write(args.out, "compare.json", text + "\n")
     print(text)
     return 0
 

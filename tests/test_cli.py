@@ -4,6 +4,7 @@ command-line entry point."""
 import copy
 import json
 import math
+import os
 import re
 import warnings
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from imdbeam import cli
 from imdbeam.cli import (
     MAX_SWEEP_ELEMENTS,
     ScenarioConfig,
@@ -129,6 +131,48 @@ class TestParseConfig:
                     }
                 ),
                 "band.adjacent_lower",
+            ),
+            # an integer literal beyond float's range
+            (lambda d: d["geometry"].update(element_delay=10**400), "geometry.element_delay"),
+            (
+                lambda d: d.update(band={"in_band": [12, 8], "adjacent_width": 4}),
+                "band.in_band",
+            ),
+            (lambda d: d["grid"].update(base_rate=0), "grid.base_rate"),
+            (lambda d: d["tones"][1].update(index=65), "tones[1].index"),
+            (lambda d: d["tones"][1].update(index=9), "tones"),
+            (lambda d: d.update(targets={"9": 0.01, "11": 0.01}), "targets"),
+            (lambda d: d["targets"][1].update(index=9), "targets[1].index"),
+            (lambda d: d["nonlinearity"].update(coefficients=[]), "nonlinearity.coefficients"),
+            (
+                lambda d: d["nonlinearity"].update(coefficients=[1.0] + [0.0] * 9),
+                "nonlinearity.coefficients",
+            ),
+            (
+                lambda d: d["nonlinearity"].update(coefficients=[0.0, 0.0, 0.0]),
+                "nonlinearity.coefficients",
+            ),
+            # the lower adjacent band would start below index 0
+            (lambda d: d.update(band={"in_band": [2, 12], "adjacent_width": 4}), "band"),
+            (
+                lambda d: d.update(
+                    band={"in_band": [8, 12], "adjacent_width": 4, "keep_window": [0, 65]}
+                ),
+                "band.keep_window",
+            ),
+            (
+                lambda d: d.update(baseline={"trials": 10, "line_indices": []}),
+                "baseline.line_indices",
+            ),
+            (
+                lambda d: d.update(baseline={"trials": 10, "line_indices": [65]}),
+                "baseline.line_indices",
+            ),
+            (lambda d: d.update(output_dir=3), "output_dir"),
+            # the output bound itself overflows while it is computed
+            (
+                lambda d: [t.update(amplitude=1e200) for t in d["tones"]],
+                "nonlinearity.coefficients",
             ),
         ],
     )
@@ -363,6 +407,54 @@ class TestRunScenario:
             assert not contrast.baseline_directive
         assert bundle.baseline_line_power == pytest.approx(0.075**2 / 2, rel=1e-9)
 
+    def test_unfoldable_product_direction_is_noted(self):
+        # the lower product sits at line 1; its direction tau = -3.5 is no
+        # multiple of its modulus away from the principal interval
+        cfg = parse(
+            base_config(
+                tones=[{"index": 9}, {"index": 17}],
+                targets=[{"index": 9, "tau": -0.1}, {"index": 17, "tau": 0.1}],
+                geometry={"num_antennas": 2, "element_delay": 0.1},
+                band={"in_band": [8, 18], "adjacent_width": 2, "keep_window": [0, 40]},
+            )
+        )
+        bundle = run_scenario(cfg)
+        assert bundle.notes == [
+            "distortion direction of line 1 (tau=-3.5) has no representative "
+            "within the principal interval; skipped"
+        ]
+        assert len(bundle.directions) == 3
+
+    def test_off_plan_baseline_lines_are_swept_and_reported(self):
+        # lines 29 and 31 are neither tones nor the two near-band products
+        bundle = run_scenario(parse(off_plan_config()))
+        indices = [p.freq_index for p in bundle.patterns]
+        assert indices == [9, 11, 13, 7, 29, 31]
+        assert [c.freq_index for c in bundle.contrasts] == [29, 31]
+        assert all(c.freq_index in indices for c in bundle.contrasts)
+        assert bundle.notes == []
+
+    def test_absent_off_plan_baseline_line_is_noted(self):
+        cfg = parse(multi_user_config(baseline={"trials": 10, "line_indices": [5]}))
+        bundle = run_scenario(cfg)
+        assert bundle.notes == [
+            "line 5 absent after the transmit chain; sweep skipped",
+            "behavioral signal has no line 5; contrast report skipped",
+        ]
+        assert bundle.contrasts == []
+        assert bundle.baseline_line_power == 0.0
+        assert [p.freq_index for p in bundle.patterns] == [9, 11, 13, 7]
+
+
+def off_plan_config():
+    """The README config with its baseline on lines 29 and 31, which the
+    keep window [0, 40] leaves in the signal."""
+    doc = multi_user_config(
+        baseline={"trials": 10000, "line_indices": [29, 31]}, sweep_points=1024, seed=1234
+    )
+    doc["band"]["keep_window"] = [0, 40]
+    return doc
+
 
 def row_formatted_csv(pattern) -> str:
     """Pattern CSV formatted row by row, the delay column included."""
@@ -450,6 +542,41 @@ class TestMain:
         path = self.write_config(tmp_path, base_config())
         assert main(["run", "--config", path]) == 2
         assert "output" in capsys.readouterr().err
+
+    def test_run_checks_out_dir_before_running(self, tmp_path, capsys, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("run_scenario called without an output directory")
+
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        path = self.write_config(tmp_path, base_config())
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output_dir" in captured.err
+
+    def test_missing_out_dir_reported_before_a_run_failure(self, tmp_path, capsys):
+        # this config fails at run time (see
+        # test_runtime_failure_carries_scenario_context) but never gets there
+        doc = multi_user_config(baseline={"trials": 10, "line_indices": [9, 13]})
+        path = self.write_config(tmp_path, doc)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "output_dir" in err
+        assert "scenario run failed" not in err
+
+    def test_failed_write_leaves_no_report_or_temporary_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        path = self.write_config(tmp_path, base_config(sweep_points=64))
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert list(out.glob(".tmp-*")) == []
 
     def test_run_honors_output_dir_from_config(self, tmp_path):
         out = str(tmp_path / "configured")
@@ -711,6 +838,20 @@ class TestMain:
             name = p["csv"]
             run_bytes = (tmp_path / "run" / name).read_bytes()
             assert (tmp_path / "sweep" / name).read_bytes() == run_bytes
+        capsys.readouterr()
+
+    def test_off_plan_baseline_line_csv_matches_sweep(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, off_plan_config())
+        assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert [p["csv"] for p in report["patterns"]][-2:] == [
+            "pattern_29.csv",
+            "pattern_31.csv",
+        ]
+        argv = ["sweep", "--config", path, "--line", "29", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
+        run_bytes = (tmp_path / "run" / "pattern_29.csv").read_bytes()
+        assert (tmp_path / "sweep" / "pattern_29.csv").read_bytes() == run_bytes
         capsys.readouterr()
 
 
