@@ -134,14 +134,19 @@ class TestParseConfig:
             ),
             # an integer literal beyond float's range
             (lambda d: d["geometry"].update(element_delay=10**400), "geometry.element_delay"),
-            (
+            pytest.param(
                 lambda d: d.update(band={"in_band": [12, 8], "adjacent_width": 4}),
                 "band.in_band",
+                id="reversed-band.in_band",
             ),
             (lambda d: d["grid"].update(base_rate=0), "grid.base_rate"),
             (lambda d: d["tones"][1].update(index=65), "tones[1].index"),
-            (lambda d: d["tones"][1].update(index=9), "tones"),
-            (lambda d: d.update(targets={"9": 0.01, "11": 0.01}), "targets"),
+            pytest.param(lambda d: d["tones"][1].update(index=9), "tones", id="duplicate-tones"),
+            pytest.param(
+                lambda d: d.update(targets={"9": 0.01, "11": 0.01}),
+                "targets",
+                id="mapping-targets",
+            ),
             (lambda d: d["targets"][1].update(index=9), "targets[1].index"),
             (lambda d: d["nonlinearity"].update(coefficients=[]), "nonlinearity.coefficients"),
             (
@@ -153,7 +158,11 @@ class TestParseConfig:
                 "nonlinearity.coefficients",
             ),
             # the lower adjacent band would start below index 0
-            (lambda d: d.update(band={"in_band": [2, 12], "adjacent_width": 4}), "band"),
+            pytest.param(
+                lambda d: d.update(band={"in_band": [2, 12], "adjacent_width": 4}),
+                "band",
+                id="below-zero-band",
+            ),
             (
                 lambda d: d.update(
                     band={"in_band": [8, 12], "adjacent_width": 4, "keep_window": [0, 65]}
