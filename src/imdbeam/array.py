@@ -44,12 +44,8 @@ def _coherence_tolerance(num_antennas: int, omega: float, step: float) -> float:
     peak are reported as coherent directions; true sidelobes of a uniform
     array sit far below that."""
     psi = abs(omega) * step / 2.0
-    if psi <= 0.0:
-        return 1e-9
     den = num_antennas * np.sin(psi / 2.0)
-    if den == 0.0:
-        return 1e-9
-    droop = 1.0 - (np.sin(num_antennas * psi / 2.0) / den) ** 2
+    droop = 1.0 - (np.sin(num_antennas * psi / 2.0) / den) ** 2 if den else 0.0
     return float(max(2.0 * droop, 1e-9))
 
 
@@ -80,8 +76,8 @@ class SteeringAssignment:
     Antenna 0 is the phase reference; ``phases[m][j]`` is the phase of tone
     ``tone_indices[j]`` on antenna ``m``, reduced mod 2*pi.  ``targets``
     holds the steering delay per tone when the assignment was produced by
-    :func:`steer_tones`, which lets the distortion-direction solver work
-    with exact (unreduced) phase differences.
+    :func:`steer_tones`; :func:`distortion_delays` needs them, since the
+    reduced phases do not determine a direction.
     """
 
     grid: FrequencyGrid
@@ -104,14 +100,9 @@ class SteeringAssignment:
         if not np.isfinite(self.phases).all():
             raise ValueError("phases must be finite")
 
-    def antenna_spectrum(self, antenna: int) -> LineSpectrum:
-        """Multi-tone input driving the given antenna's device."""
-        row = self.input_signal().phasors[antenna]
-        return LineSpectrum.from_phasors(self.grid, self.tone_indices, row[None])
-
     def input_signal(self) -> ArraySignal:
-        """Multi-tone inputs of all antennas' devices: row ``m`` is
-        :meth:`antenna_spectrum` of antenna ``m``."""
+        """Multi-tone inputs of all antennas' devices: row ``m`` drives the
+        device of antenna ``m``."""
         factors = _line_factor(np.array(self.tone_indices))
         return ArraySignal.from_phasors(
             self.grid,
@@ -250,12 +241,13 @@ def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> Disto
 
     With per-tone steering delays ``t1, t2`` the products combine at
     ``(2*k2*t2 - k1*t1) / (2*k2 - k1)`` and ``(k2*t2 - 2*k1*t1) / (k2 - 2*k1)``;
-    equal targets make both collapse to the common steering delay.  For a
-    hand-built assignment without targets the delays are recovered from the
-    first two antennas' phases (mod-2*pi ambiguity then applies).
+    equal targets make both collapse to the common steering delay.  The
+    assignment must carry its ``targets``.
     """
     if assignment.geometry.num_antennas < 2:
         raise ValueError("distortion directions need at least 2 antennas")
+    if assignment.targets is None:
+        raise ValueError("distortion directions need the assignment's steering targets")
     if not k1 < k2:
         raise ValueError("tone indices must satisfy k1 < k2")
     if assignment.tone_indices != (k1, k2):
@@ -267,14 +259,9 @@ def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> Disto
     dw = assignment.grid.base_rate
     up_k = 2 * k2 - k1
     lo_k = k2 - 2 * k1  # signed; the physical line sits at |lo_k|
-    if assignment.targets is not None:
-        t1, t2 = assignment.targets
-        up_tau = (2.0 * k2 * t2 - k1 * t1) / up_k
-        lo_tau = (k2 * t2 - 2.0 * k1 * t1) / lo_k
-    else:
-        (p11, p12), (p21, p22) = assignment.phases[0], assignment.phases[1]
-        up_tau = ((2.0 * p22 - p21) - (2.0 * p12 - p11)) / (up_k * dw)
-        lo_tau = ((p22 - 2.0 * p21) - (p12 - 2.0 * p11)) / (lo_k * dw)
+    t1, t2 = assignment.targets
+    up_tau = (2.0 * k2 * t2 - k1 * t1) / up_k
+    lo_tau = (k2 * t2 - 2.0 * k1 * t1) / lo_k
     return DistortionDirections(
         upper_index=up_k,
         upper_tau=up_tau,
@@ -366,7 +353,7 @@ def _build_pattern(
     taus: np.ndarray,
     powers: np.ndarray,
     port_power_total: float,
-    peak_rel_tol: float = 1e-9,
+    peak_rel_tol: float,
 ) -> Pattern:
     ipk = int(np.argmax(powers))
     peak_power = float(powers[ipk])

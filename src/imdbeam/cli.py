@@ -328,6 +328,8 @@ def parse_config(text: str) -> ScenarioConfig:
                     raise ConfigError(
                         "baseline.line_indices", f"index {k} exceeds grid.max_index"
                     )
+            if len(set(line_indices)) != len(line_indices):
+                raise ConfigError("baseline.line_indices", "indices must be distinct")
         baseline = BaselineSettings(trials, line_indices)
 
     if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
@@ -345,20 +347,33 @@ def parse_config(text: str) -> ScenarioConfig:
 
     # Every port line is at most sum_p |a_p| (A1 + A2)**p in magnitude, so no
     # received power, matched noise included, exceeds 8 * (M * peak)**2.  The
-    # run sums such powers over keep-window lines and baseline trials.
+    # run sums such powers over keep-window lines and baseline trials.  It
+    # also forms the angular frequency of every kept and baseline line, and the
+    # chirp of a sweep (_chirp_z) has phases below
+    # omega * element_delay * max(M, N)**2 / (N - 1).  A huge integer raises
+    # OverflowError, which leaves the values not yet formed infinite.
     amplitude_sum = tones[0].amplitude + tones[1].amplitude
+    top_line = max((band.keep_window[1], *((baseline.line_indices or ()) if baseline else ())))
+    bound = top_omega = sweep_phase = math.inf
     try:
         peak = sum(abs(a) * amplitude_sum**p for p, a in enumerate(coeffs, start=1))
-        bound = 8.0 * (num_antennas * peak) ** 2 * (band.keep_window[1] + 1)
-        bound *= baseline.trials if baseline is not None else 1
+        trials = baseline.trials if baseline is not None else 1
+        bound = 8.0 * (num_antennas * peak) ** 2 * (band.keep_window[1] + 1) * trials
+        top_omega = base_rate * top_line
+        chirp_span = max(num_antennas, sweep_points) ** 2 / (sweep_points - 1)
+        sweep_phase = top_omega * element_delay * chirp_span
     except OverflowError:
-        bound = math.inf
+        pass
     if not math.isfinite(bound):
         raise ConfigError(
             "nonlinearity.coefficients",
             "the device output would overflow floating point at these tone "
             "amplitudes, antenna count and trial count",
         )
+    if not math.isfinite(top_omega):
+        raise ConfigError("grid.base_rate", "the top line's angular frequency would overflow")
+    if not math.isfinite(sweep_phase):
+        raise ConfigError("geometry.element_delay", "the phases of a pattern sweep would overflow")
 
     output_dir = top.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):

@@ -2,6 +2,7 @@
 closed-form distortion directions, cross-checked against a delayed
 time-domain oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from imdbeam import (
     DegenerateFrequencyPlanError,
     FrequencyGrid,
     GridMismatchError,
+    GridRangeError,
     LineSpectrum,
     MissingLineError,
     PolynomialNonlinearity,
@@ -137,9 +139,24 @@ class TestSteerTones:
         with pytest.raises(ValueError, match="phases must be finite"):
             steer_tones(GRID, GEO_MU, {9: 1e308, 11: 0.1})
 
-    def test_antenna_spectrum(self):
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (lambda a: {"phases": a.phases[:1]}, "one row per antenna"),
+            (lambda a: {"phases": (a.phases[0], a.phases[1][:1])}, "phase rows"),
+            (lambda a: {"targets": a.targets[:1]}, "targets"),
+            (lambda a: {"tone_indices": (0, 11)}, "positive"),
+        ],
+        ids=["missing-row", "short-row", "targets-length", "tone-index-0"],
+    )
+    def test_malformed_assignment_rejected(self, changes, message):
+        a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(a, **changes(a))
+
+    def test_antenna_input(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2}, amplitudes={9: 2.0, 11: 0.5})
-        s = a.antenna_spectrum(1)
+        s = a.input_signal().per_antenna[1]
         assert s.amplitude(9) == pytest.approx(2.0)
         assert s.amplitude(11) == pytest.approx(0.5)
         assert s.phase(9) % (2 * np.pi) == pytest.approx(a.phases[1][0], rel=1e-12)
@@ -150,7 +167,7 @@ class TestTransmit:
         assignment, _, _ = multi_user_signal()
         sig = transmit(assignment, PolynomialNonlinearity.identity(), BAND)
         for m in range(2):
-            assert sig.per_antenna[m] == assignment.antenna_spectrum(m)
+            assert sig.per_antenna[m] == assignment.input_signal().per_antenna[m]
 
     def test_port_spectrum_independent_of_steering(self):
         _, sig_mu, _ = multi_user_signal()
@@ -174,6 +191,20 @@ class TestArraySignal:
         other = FrequencyGrid(1.0, 64)
         with pytest.raises(GridMismatchError):
             ArraySignal((tone(GRID, 1.0, 9), tone(other, 1.0, 9)))
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: ArraySignal.from_phasors(GRID, [65], [[1.0]]), GridRangeError),
+            # beyond 64 bits: the index conversion itself overflows
+            (lambda: ArraySignal.from_phasors(GRID, [2**64], [[1.0]]), GridRangeError),
+            (lambda: ArraySignal(()), ValueError),
+        ],
+        ids=["above-max-index", "index-2**64", "no-antennas"],
+    )
+    def test_invalid_input_rejected(self, build, error):
+        with pytest.raises(error):
+            build()
 
     def test_indices_and_coefficients(self):
         _, sig, _ = multi_user_signal()
@@ -229,7 +260,9 @@ class TestTransmitProperties:
         grid = assignment.grid
         scale = sum(abs(a) * sum(assignment.amplitudes) ** p for p, a in enumerate(f.coefficients, 1))
         for m, spec in enumerate(sig.per_antenna):
-            w = sample_waveform(assignment.antenna_spectrum(m), 1, 2 * grid.max_index + 2)
+            w = sample_waveform(
+                assignment.input_signal().per_antenna[m], 1, 2 * grid.max_index + 2
+            )
             distorted = SampledWaveform(f.evaluate(w.samples), w.sample_rate)
             oracle = band_filter(estimate_lines(distorted, grid), band)
             assert spec.allclose(oracle, rtol=1e-9, atol=1e-11 * scale)
@@ -294,14 +327,14 @@ class TestDistortionDelays:
             assert abs(dd.upper_tau - tau) > 1e-6
             assert abs(dd.lower_tau - tau) > 1e-6
 
-    def test_phase_fallback_without_targets(self):
+    def test_no_phase_fallback_without_targets(self):
+        # reduced phases fix no direction; only the steering delays do
         a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
         bare = SteeringAssignment(
             GRID, GEO_SU, a.tone_indices, a.amplitudes, a.phases, targets=None
         )
-        dd = distortion_delays(9, 11, bare)
-        assert dd.upper_tau == pytest.approx(TAU_SU, rel=1e-12)
-        assert dd.lower_tau == pytest.approx(TAU_SU, rel=1e-12)
+        with pytest.raises(ValueError, match="targets"):
+            distortion_delays(9, 11, bare)
 
     def test_degenerate_plan_rejected(self):
         a = steer_tones(GRID, GEO_MU, {5: 0.1, 10: 0.2})
@@ -315,6 +348,8 @@ class TestDistortionDelays:
         b = steer_tones(GRID, GEO_MU, {9: 0.1, 11: 0.1})
         with pytest.raises(ValueError):
             distortion_delays(9, 12, b)
+        with pytest.raises(ValueError, match="k1 < k2"):
+            distortion_delays(11, 9, b)
 
 
 class TestPatternSweep:
@@ -376,6 +411,11 @@ class TestPatternSweep:
             p = _build_pattern(9, taus, powers, 1.0, 1e-9)
             assert p.peak_taus == (p.peak_tau,) == (taus[np.argmax(powers)],)
             assert not p.multi_peaked
+
+    def test_negative_power_rejected(self):
+        taus = np.linspace(-0.5, 0.5, 16)
+        with pytest.raises(ValueError, match="non-negative"):
+            _build_pattern(9, taus, np.full(16, -1e-3), 1.0, 1e-9)
 
 
 class TestSweepMatchesReception:
@@ -553,6 +593,8 @@ class TestDelayHelpers:
         assert fold_delay(0.0, 1.0, 0.5) == 0.0
         with pytest.raises(ValueError):
             fold_delay(0.4, 1.0, 0.05)
+        with pytest.raises(ValueError, match="modulus"):
+            fold_delay(0.4, 0.0, 0.05)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-9, 1e9])
     def test_fold_delay_is_independent_of_units(self, scale):

@@ -191,6 +191,11 @@ class TestMatchedNoiseConfig:
         with pytest.raises(ValueError):
             matched_noise_config(behavioral, (13, 9), 100, 5)  # product vs fundamental
 
+    def test_no_lines_rejected(self):
+        behavioral, _ = scenario()
+        with pytest.raises(ValueError, match="no line indices"):
+            matched_noise_config(behavioral, (), 100, 5)
+
 
 class TestModelContrastReport:
     def test_behavioral_directive_baseline_not(self):

@@ -183,6 +183,23 @@ class TestParseConfig:
                 lambda d: [t.update(amplitude=1e200) for t in d["tones"]],
                 "nonlinearity.coefficients",
             ),
+            pytest.param(
+                lambda d: d.update(baseline={"trials": 10, "line_indices": [13, 13]}),
+                "baseline.line_indices",
+                id="repeated-baseline.line_indices",
+            ),
+            # the keep window's top line would have an infinite angular frequency
+            pytest.param(
+                lambda d: d["grid"].update(base_rate=1e308),
+                "grid.base_rate",
+                id="overflowing-grid.base_rate",
+            ),
+            # the chirp phases of a pattern sweep would overflow
+            pytest.param(
+                lambda d: d["geometry"].update(element_delay=1e305),
+                "geometry.element_delay",
+                id="overflowing-geometry.element_delay",
+            ),
         ],
     )
     def test_semantic_errors_name_fields(self, mutate, field):
@@ -285,7 +302,7 @@ def config_docs(draw):
     if draw(st.booleans()):
         doc["baseline"] = {"trials": draw(st.integers(1, 10**6))}
         if draw(st.booleans()):
-            lines = st.lists(st.integers(1, max_index), min_size=1, max_size=4)
+            lines = st.lists(st.integers(1, max_index), min_size=1, max_size=4, unique=True)
             doc["baseline"]["line_indices"] = draw(lines)
     if draw(st.booleans()):
         doc["output_dir"] = draw(st.text(max_size=8))

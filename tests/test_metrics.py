@@ -181,6 +181,11 @@ class TestEvm:
         with pytest.raises(ValueError):
             evm(y, [(9, 0.0, 0.0)], BAND)
 
+    def test_zero_fitted_signal_rejected(self):
+        # only an unreferenced in-band line: the fitted gain is zero
+        with pytest.raises(ValueError, match="observed in-band signal is zero"):
+            evm(tone(GRID, 1.0, 10), self.REFS, BAND)
+
 
 class TestPortVsOtaReport:
     def test_single_user_reports(self):

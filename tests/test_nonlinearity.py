@@ -224,6 +224,14 @@ class TestBandDefinition:
             BandDefinition((8, 12), (5, 7), (13, 15), (8, 12))
         with pytest.raises(ValueError):  # below index zero
             BandDefinition.around((2, 4), 3)
+        with pytest.raises(ValueError, match="integers"):
+            BandDefinition((8.5, 12), (5, 7), (13, 15), (5, 15))
+        with pytest.raises(ValueError, match="lo <= hi"):  # reversed interval
+            BandDefinition((12, 8), (5, 7), (13, 15), (5, 15))
+        with pytest.raises(ValueError, match="cover"):  # misses the upper band
+            BandDefinition((8, 12), (5, 7), (13, 15), (5, 14))
+        with pytest.raises(ValueError, match="adjacent_width"):
+            BandDefinition.around((8, 12), 0)
 
 
 class TestBandFilter:

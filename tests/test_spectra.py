@@ -138,6 +138,10 @@ class TestConstruction:
         s = LineSpectrum(GRID, {3: 1e-15})
         assert s.is_empty
 
+    def test_negative_tone_index_rejected(self):
+        with pytest.raises(GridRangeError):
+            LineSpectrum.from_real_tones(GRID, [(9, 1.0, 0.0), (-1, 1.0, 0.0)])
+
 
 class TestPower:
     def test_line_power_convention(self):
@@ -178,6 +182,10 @@ class TestSampleWaveform:
         with pytest.raises(ValueError):
             sample_waveform(tone(GRID, 1.0, 9), 0, 256)
 
+    def test_bad_sample_rate(self):
+        with pytest.raises(ValueError, match="sample_rate"):
+            SampledWaveform(np.zeros(8), 0.0)
+
     def test_samples_read_only(self):
         w = sample_waveform(tone(GRID, 1.0, 9), 1, 256)
         with pytest.raises(ValueError):
@@ -215,6 +223,10 @@ class TestEstimateLines:
             s = random_spectrum(rng)
             est = estimate_lines(sample_waveform(s, periods, 200), GRID)
             assert est.allclose(s, rtol=1e-9)
+
+    def test_empty_waveform_rejected(self):
+        with pytest.raises(LeakageError, match="empty"):
+            estimate_lines(SampledWaveform(np.zeros(0), 1.0), GRID)
 
     def test_leakage_rejected(self):
         w = sample_waveform(tone(GRID, 1.0, 9), 1, 256)
