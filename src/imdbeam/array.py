@@ -24,7 +24,13 @@ import math
 import numpy as np
 
 from .errors import DegenerateFrequencyPlanError, GridRangeError, MissingLineError
-from .nonlinearity import BandDefinition, PolynomialNonlinearity, apply_polynomial, band_filter
+from .nonlinearity import (
+    BandDefinition,
+    PolynomialNonlinearity,
+    _contains,
+    apply_polynomial,
+    band_filter,
+)
 from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum, _line_factor
 
 DEFAULT_SWEEP_POINTS = 1024
@@ -149,8 +155,59 @@ def transmit(
 ) -> ArraySignal:
     """Drive every antenna with its steered multi-tone input, apply the
     polynomial device, and band-filter what the chain radiates.  Device
-    characteristics are identical on all antennas."""
-    return band_filter(apply_polynomial(assignment.input_signal(), f), band)
+    characteristics are identical on all antennas.
+
+    Every antenna gets the same tone amplitudes and steering changes phases
+    only, so the distortion is correlated across the array (the source
+    paper's argument): the mixing order ``n`` (``n[j]`` signed copies of tone
+    ``j``, at line ``n . k``) has one coefficient ``C_n`` for all antennas,
+    and antenna ``m`` rotates it by ``exp(1j * n . phases[m])``.  The table
+    of ``C_n`` is ``apply_polynomial`` of one virtual antenna with tone ``j``
+    at index ``B**j``, ``B = 2 * degree + 1``, where the balanced base-``B``
+    digits of each line are its order.  Only orders whose line ``|n . k|``
+    lies in ``band.keep_window`` are rotated; orders sharing a line superpose
+    in ``from_phasors``.  The table is pruned at ``PRUNE_THRESHOLD`` before
+    that sum, so a line may differ from a per-antenna convolution by the
+    threshold once per order on it.  Raises :class:`GridRangeError` when the
+    grid cannot hold ``degree * k_top``, or when ``B**K`` for ``K`` tones
+    exceeds 64 bits (more than 14 tones at degree 9, 22 at degree 3).
+    """
+    k = np.array(assignment.tone_indices, dtype=np.int64)
+    base = 2 * f.degree + 1
+    span = base**k.size  # every order index lies within (-span/2, span/2)
+    if span > np.iinfo(np.int64).max:
+        raise GridRangeError(
+            f"{k.size} tones through a degree-{f.degree} device need mixing-order "
+            f"indices up to {base}**{k.size}, beyond 64 bits"
+        )
+    powers = base ** np.arange(k.size, dtype=np.int64)
+    virtual = LineSpectrum.from_phasors(
+        FrequencyGrid(1.0, span), powers, [np.array(assignment.amplitudes) / _line_factor(k)]
+    )
+    k_top = int(k[np.searchsorted(powers, virtual.support)].max(initial=0))
+    if f.degree * k_top > assignment.grid.max_index:
+        raise GridRangeError(
+            f"grid max_index {assignment.grid.max_index} cannot hold degree-{f.degree} "
+            f"products of lines up to index {k_top}"
+        )
+    table = apply_polynomial(virtual, f)
+    # balanced digits: plain base-B digits of the index plus sum_j P * B**j
+    orders = (table.support[:, None] + span // 2) // powers % base - f.degree
+    lines = orders @ k
+    # an order below zero enters as its mirror, the conjugate at |n . k|
+    orders[lines < 0] *= -1
+    lines = np.abs(lines)
+    kept = np.flatnonzero(_contains(band.keep_window, lines))
+    # in line order, so that orders which share no line need no merging
+    kept = kept[np.argsort(lines[kept], kind="stable")]
+    # a nonzero order on line 0 stands for itself and its mirror: 2 Re(.)
+    weights = np.where((lines[kept] == 0) & (table.support[kept] > 0), 2.0, 1.0)
+    # n . phases[m] for every antenna m and kept order n
+    rotations = np.exp(1j * (np.array(assignment.phases)[:, None, :] * orders[kept]).sum(-1))
+    signal = ArraySignal.from_phasors(
+        assignment.grid, lines[kept], table.phasors[0, kept].real * weights * rotations
+    )
+    return band_filter(signal, band)
 
 
 def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:

@@ -2,10 +2,14 @@
 
 The spectrum of ``x(t)**p`` is the p-fold convolution of the signed line set
 of ``x``, so a polynomial device maps a finite line set to a finite line set
-with no time-domain approximation.  Every antenna of an array shares one line
-support, so the convolution runs once for all antennas.  A closed-form term
-table for the third-order two-tone case and the brick-wall transmit-chain
-filter live here as well.
+with no time-domain approximation.  :func:`apply_polynomial` convolves every
+antenna of an array at once over their shared line support.  A steered array
+needs only one antenna's expansion: steering changes phases, not amplitudes,
+so the distortion is correlated across the antennas (the source paper's
+argument).  ``array.transmit`` therefore expands the device once into a table
+of mixing orders and rotates each order per antenna by its steering phase.
+A closed-form term table for the third-order two-tone case and the
+brick-wall transmit-chain filter live here as well.
 """
 
 from dataclasses import dataclass

@@ -69,8 +69,13 @@ def _line_factor(index):
 
 
 def _superpose(lines, phasors) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct ``lines`` and the ``(M, L)`` matrix in which each
+    """Sorted distinct ``lines`` and a new ``(M, L)`` matrix in which each
     column of ``phasors`` is added, in column order, to its line's column."""
+    lines = np.asarray(lines)
+    if np.all(lines[1:] > lines[:-1]):
+        # already sorted and distinct; adding 0.0 copies and turns -0.0 into
+        # +0.0 exactly as adding to a zero matrix does
+        return lines, np.asarray(phasors, dtype=complex) + 0.0
     lines, column = np.unique(lines, return_inverse=True)
     merged = np.zeros((np.shape(phasors)[0], lines.size), dtype=complex)
     np.add.at(merged, (slice(None), column), phasors)

@@ -22,6 +22,7 @@ from imdbeam import (
     MissingLineError,
     PolynomialNonlinearity,
     SteeringAssignment,
+    apply_polynomial,
     array_gain,
     band_filter,
     delay_to_angle,
@@ -185,6 +186,38 @@ class TestTransmit:
         lead = (sig.per_antenna[1].phase(13) - sig.per_antenna[0].phase(13)) % (2 * np.pi)
         assert lead == pytest.approx(expected, rel=1e-9)
 
+    def test_grid_must_hold_every_product(self):
+        # called directly, not through parse_config: degree * k_top = 33 > 32
+        grid = FrequencyGrid(2 * np.pi, 32)
+        assignment = steer_tones(grid, GEO_MU, {9: TAU1, 11: TAU2})
+        with pytest.raises(GridRangeError, match="cannot hold degree-3"):
+            transmit(assignment, CUBIC, BAND)
+        # a top tone too weak to survive pruning produces nothing, as in the
+        # per-antenna convolution
+        quiet = steer_tones(grid, GEO_MU, {9: TAU1, 11: TAU2}, amplitudes={11: 1e-15})
+        direct = band_filter(apply_polynomial(quiet.input_signal(), CUBIC), BAND)
+        assert transmit(quiet, CUBIC, BAND).line_indices() == direct.line_indices() == (9,)
+
+    @pytest.mark.parametrize(
+        "coefficients, tones", [((1.0,), 40), ((1.0, 0.0, 0.1), 23), ((0.0,) * 8 + (1.0,), 15)]
+    )
+    def test_too_many_tones_for_a_64_bit_order_index(self, coefficients, tones):
+        # mixing orders of K tones at degree P are indexed in base 2P+1, so
+        # (2P+1)**K must stay below 2**63
+        grid = FrequencyGrid(2 * np.pi, 1000)
+        assignment = steer_tones(grid, ArrayGeometry(2, 0.5), {k: 0.1 for k in range(1, tones + 1)})
+        with pytest.raises(GridRangeError, match=rf"\*\*{tones}, beyond 64 bits"):
+            transmit(assignment, PolynomialNonlinearity(coefficients), BAND)
+
+    def test_most_tones_a_64_bit_order_index_holds(self):
+        # 3**39 < 2**63: 39 tones through a linear device pass unchanged
+        grid = FrequencyGrid(2 * np.pi, 64)
+        assignment = steer_tones(grid, ArrayGeometry(3, 0.5), {k: 0.01 * k for k in range(1, 40)})
+        band = BandDefinition.around((1, 39), 1, (0, 64))
+        sig = transmit(assignment, PolynomialNonlinearity.identity(), band)
+        assert sig.line_indices() == tuple(range(1, 40))
+        assert np.abs(sig.phasors - assignment.input_signal().phasors).max() <= 1e-15
+
 
 class TestArraySignal:
     def test_grid_mismatch_rejected(self):
@@ -280,6 +313,80 @@ class TestTransmitProperties:
         pattern = pattern_sweep(sig, dd.upper_index, geo)
         assert array_gain(sig, dd.upper_index, dd.upper_tau) == pytest.approx(64, rel=1e-9)
         assert abs(pattern.nearest_peak(dd.upper_tau) - dd.upper_tau) <= pattern.step
+
+
+@st.composite
+def colliding_plans(draw):
+    """One to three small tone indices, harmonically related (k2 = 2*k1) in
+    half of the draws, through a device of degree >= k1 + k2 where 9 allows:
+    distinct mixing orders then share lines, and some reach line 0.  Tone
+    amplitudes of at least 0.25 and nonzero device coefficients of at least
+    0.05 put every order that does not cancel exactly far above
+    ``PRUNE_THRESHOLD``, so pruning the order table before colliding orders
+    are summed drops none of them.  Arrays of up to 64 antennas."""
+    num_tones = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        k1 = draw(st.integers(1, 2))
+        tones = [k1 * (j + 1) for j in range(num_tones)]
+    else:
+        tones = sorted(
+            draw(st.lists(st.integers(1, 6), min_size=num_tones, max_size=num_tones, unique=True))
+        )
+    degree = draw(st.integers(min(sum(tones[:2]), 9), 9))
+    nonzero = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+    coefficients = draw(st.lists(st.just(0.0) | nonzero, min_size=degree, max_size=degree))
+    assume(any(coefficients))
+    width = draw(st.integers(1, tones[0]))
+    max_index = max(degree * tones[-1], tones[-1] + width) + draw(st.integers(0, 3))
+    grid = FrequencyGrid(2 * np.pi, max_index)
+    geo = ArrayGeometry(draw(st.integers(1, 64)), draw(st.floats(0.01, 0.5)))
+    tau = st.floats(-geo.element_delay, geo.element_delay)
+    assignment = steer_tones(
+        grid,
+        geo,
+        {k: draw(tau) for k in tones},
+        base_phases={k: draw(st.floats(-np.pi, np.pi)) for k in tones},
+        amplitudes={k: draw(st.floats(0.25, 1.5)) for k in tones},
+    )
+    keep = (0, max_index) if draw(st.booleans()) else None
+    band = BandDefinition.around((tones[0], tones[-1]), width, keep)
+    return assignment, PolynomialNonlinearity(tuple(coefficients)), band
+
+
+def order_table_l1(assignment, f) -> float:
+    """``sum_n |C_n|`` over every signed mixing order ``n``, from the
+    one-antenna expansion with tone ``j`` alone at index ``(2*degree + 1)**j``."""
+    base = 2 * f.degree + 1
+    grid = FrequencyGrid(1.0, f.degree * base ** (len(assignment.tone_indices) - 1))
+    tones = [(base**j, a, 0.0) for j, a in enumerate(assignment.amplitudes)]
+    table = apply_polynomial(LineSpectrum.from_real_tones(grid, tones), f)
+    return float(np.sum(_line_factor(table.support) * np.abs(table.phasors[0])))
+
+
+# tones 1 and 2 through a cubic: the order (2, -1) sits on line 0 and its
+# mirror (-2, 1) has no line of its own in the order table
+DC_PLAN = (
+    steer_tones(
+        FrequencyGrid(2 * np.pi, 6), ArrayGeometry(3, 0.25), {1: 0.05, 2: -0.1}, {1: 0.7, 2: -1.9}
+    ),
+    PolynomialNonlinearity((1.0, 0.3, 0.4)),
+    BandDefinition.around((1, 2), 1, (0, 6)),
+)
+
+
+class TestTransmitMatchesConvolution:
+    @settings(max_examples=60, deadline=None)
+    @given(colliding_plans())
+    @example(DC_PLAN)
+    def test_orders_rotated_per_antenna_match_per_antenna_convolution(self, plan):
+        # the rounding of each line is relative to the orders summed on it,
+        # so the bound is the order table's l1 norm sum_n |C_n|
+        assignment, f, band = plan
+        sig = transmit(assignment, f, band)
+        direct = band_filter(apply_polynomial(assignment.input_signal(), f), band)
+        np.testing.assert_array_equal(sig.support, direct.support)
+        error = np.abs(sig.phasors - direct.phasors).max(initial=0.0)
+        assert error <= 1e-12 * order_table_l1(assignment, f)
 
 
 class TestFarFieldReceive:

@@ -19,6 +19,7 @@ from imdbeam import (
     sample_waveform,
     tone,
 )
+from imdbeam.spectra import _superpose
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 
@@ -137,6 +138,16 @@ class TestConstruction:
     def test_prune_threshold(self):
         s = LineSpectrum(GRID, {3: 1e-15})
         assert s.is_empty
+
+    def test_superpose_of_distinct_sorted_lines_is_a_new_matrix(self):
+        # such lines skip the merge but not the copy, since _store writes
+        # into the result; -0.0 becomes +0.0 as on the merge path
+        phasors = np.array([[1.0 + 2.0j, complex(-0.0, -0.0)]])
+        lines, merged = _superpose(np.array([3, 5]), phasors)
+        assert not np.shares_memory(merged, phasors)
+        _, reference = _superpose(np.array([5, 3]), phasors[:, ::-1])
+        assert lines.tolist() == [3, 5]
+        assert merged.tobytes() == reference.tobytes()
 
     def test_negative_tone_index_rejected(self):
         with pytest.raises(GridRangeError):
