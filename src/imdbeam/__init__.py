@@ -10,7 +10,7 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
 
 from .array import (
     ArrayGeometry,
@@ -49,7 +49,6 @@ from .nonlinearity import (
     PolynomialNonlinearity,
     apply_polynomial,
     band_filter,
-    distortion_terms_near_band,
     two_tone_third_order_terms,
 )
 from .spectra import (
@@ -94,7 +93,6 @@ __all__ = [
     "band_filter",
     "delay_to_angle",
     "distortion_delays",
-    "distortion_terms_near_band",
     "estimate_lines",
     "evm",
     "far_field_receive",

@@ -31,7 +31,7 @@ from .nonlinearity import (
     apply_polynomial,
     band_filter,
 )
-from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum, _line_factor
+from .spectra import TWO_PI, ArraySignal, FrequencyGrid, LineSpectrum, _line_factor, _mag2
 
 DEFAULT_SWEEP_POINTS = 1024
 
@@ -210,6 +210,15 @@ def transmit(
     return band_filter(signal, band)
 
 
+def _receive(rows: np.ndarray, phase_step) -> np.ndarray:
+    """``sum_m c_m * exp(-1j * m * phase_step)`` for each row of antenna
+    coefficients ``rows`` (a vector is one row), with one ``phase_step`` per
+    row.  Each row's terms are summed as one contiguous vector, so a line
+    received alone and a line received with others get the same bits."""
+    terms = np.multiply(rows, steering(rows.shape[-1], phase_step).T, order="C")
+    return terms.sum(axis=-1)
+
+
 def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     """Received spectrum at the direction with inter-element delay ``tau_rx``.
 
@@ -218,17 +227,16 @@ def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     inter-element phase matters.
     """
     omegas = signal.grid.base_rate * signal.support
-    steer = steering(signal.num_antennas, omegas * tau_rx)
-    received = np.sum(signal.phasors * steer, axis=0)
+    received = _receive(signal.phasors.T, omegas * tau_rx)
     return LineSpectrum.from_phasors(signal.grid, signal.support, received[None])
 
 
 def _received_power(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
-    """Far-field power of line ``freq_index`` at the delay ``tau_rx``, as
-    :func:`far_field_receive` gives it."""
-    omega = signal.grid.omega(freq_index)
-    received = signal.coefficients(freq_index) @ steering(signal.num_antennas, omega * tau_rx)
-    return _line_factor(freq_index) * np.abs(received) ** 2
+    """Far-field power of line ``freq_index`` at the delay ``tau_rx``.  The
+    sum is :func:`far_field_receive`'s, so the two agree bit for bit
+    wherever ``far_field_receive`` does not prune the received line."""
+    received = _receive(signal.coefficients(freq_index), signal.grid.omega(freq_index) * tau_rx)
+    return _line_factor(freq_index) * _mag2(received)
 
 
 def _phasors(phase: float, q: np.ndarray) -> np.ndarray:
@@ -275,7 +283,8 @@ def _chirp_z(coefficients: np.ndarray, omega: float, half_width: float, num_poin
 
 @dataclass(frozen=True)
 class DistortionDirections:
-    """Delays at which the two near-band third-order products recombine.
+    """Delays at which the two near-band third-order products, the orders
+    ``(-1, 2)`` and ``(-2, 1)`` of :func:`distortion_delays`, recombine.
 
     Each delay is defined modulo its ``modulus`` (one full phase turn at the
     product's frequency); the stored value is the quotient of the unreduced
@@ -296,10 +305,12 @@ def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> Disto
     """Directions of coherent recombination for the products at ``2*k2 - k1``
     and ``|k2 - 2*k1|``.
 
-    With per-tone steering delays ``t1, t2`` the products combine at
-    ``(2*k2*t2 - k1*t1) / (2*k2 - k1)`` and ``(k2*t2 - 2*k1*t1) / (k2 - 2*k1)``;
-    equal targets make both collapse to the common steering delay.  The
-    assignment must carry its ``targets``.
+    One order rule: the order ``n`` (``n[j]`` signed copies of tone ``j``) at
+    line ``n . k`` combines at ``tau_n = sum_j n_j k_j t_j / (n . k)`` for the
+    steering delays ``t_j``, modulo ``2*pi / (|n . k| * base_rate)``; the
+    products are ``n = (-1, 2)`` and ``(-2, 1)``, and equal targets make both
+    collapse to the common steering delay.  The assignment must carry its
+    ``targets``.
     """
     if assignment.geometry.num_antennas < 2:
         raise ValueError("distortion directions need at least 2 antennas")
@@ -313,20 +324,13 @@ def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> Disto
         raise DegenerateFrequencyPlanError(
             "k2 = 2*k1 places the difference product at zero frequency"
         )
-    dw = assignment.grid.base_rate
-    up_k = 2 * k2 - k1
-    lo_k = k2 - 2 * k1  # signed; the physical line sits at |lo_k|
     t1, t2 = assignment.targets
-    up_tau = (2.0 * k2 * t2 - k1 * t1) / up_k
-    lo_tau = (k2 * t2 - 2.0 * k1 * t1) / lo_k
-    return DistortionDirections(
-        upper_index=up_k,
-        upper_tau=up_tau,
-        upper_modulus=TWO_PI / (abs(up_k) * dw),
-        lower_index=abs(lo_k),
-        lower_tau=lo_tau,
-        lower_modulus=TWO_PI / (abs(lo_k) * dw),
-    )
+    directions = []
+    for n1, n2 in ((-1, 2), (-2, 1)):
+        line = n1 * k1 + n2 * k2  # signed; the physical line sits at |line|
+        tau = (n1 * k1 * t1 + n2 * k2 * t2) / line
+        directions += [abs(line), tau, TWO_PI / (abs(line) * assignment.grid.base_rate)]
+    return DistortionDirections(*directions)
 
 
 def fold_delay(tau: float, modulus: float, half_width: float) -> float:

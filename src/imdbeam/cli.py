@@ -162,8 +162,13 @@ def parse_config(text: str) -> ScenarioConfig:
     Syntax errors carry line/column; semantic errors name the offending
     field and the violated constraint.
     """
+    return _validate(_decode(text))
+
+
+def _validate(doc) -> ScenarioConfig:
+    """Validate a decoded config document (see :func:`parse_config`)."""
     top = _as_object(
-        _decode(text),
+        doc,
         "$",
         {
             "grid",
@@ -686,11 +691,11 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
     except OSError as e:
         raise ConfigError("$", f"cannot read config {path}: {e.strerror}") from None
     overrides = {k: v for k, v in (("seed", seed), ("sweep_points", points)) if v is not None}
+    if not overrides:
+        return parse_config(text)
     doc = _decode(text)
-    if overrides and isinstance(doc, dict):
-        # the overrides replace their fields before the fields are checked
-        text = json.dumps(doc | overrides)
-    return parse_config(text)
+    # the overrides replace their fields before the fields are checked
+    return _validate(doc | overrides if isinstance(doc, dict) else doc)
 
 
 def _run_with_context(cfg: ScenarioConfig) -> ReportBundle:

@@ -8,8 +8,9 @@ needs only one antenna's expansion: steering changes phases, not amplitudes,
 so the distortion is correlated across the antennas (the source paper's
 argument).  ``array.transmit`` therefore expands the device once into a table
 of mixing orders and rotates each order per antenna by its steering phase.
-A closed-form term table for the third-order two-tone case and the
-brick-wall transmit-chain filter live here as well.
+The closed-form two-tone table of ``x + alpha*x**3`` is the independent
+reference for the convolution and the table ``imdbeam expand`` prints; the
+brick-wall transmit-chain filter lives here as well.
 """
 
 from dataclasses import dataclass
@@ -207,22 +208,6 @@ def two_tone_third_order_terms(
         (3 * k2, a_harm, 3.0 * phi2),
     ]
     return [(k, amp, phase) for k, amp, phase in raw if amp != 0.0]
-
-
-def distortion_terms_near_band(
-    expansion: list[tuple[int, float, float]], band: BandDefinition
-) -> list[tuple[int, float, float]]:
-    """Distortion terms of a two-tone expansion that survive the transmit
-    chain (indices inside ``band.keep_window``); the fundamentals are
-    excluded.  Expansions from a linear device yield an empty list.
-
-    In the order of :func:`two_tone_third_order_terms` the fundamentals
-    ``k1 < k2`` lead the expansion unless gain compression cancels them, and
-    then it starts with the products at ``2*k2 + k1 > 2*k2 - k1``.
-    """
-    leading = [k for k, _, _ in expansion[:2]]
-    fundamentals = 2 if len(leading) == 2 and leading[0] < leading[1] else 0
-    return [t for t in expansion[fundamentals:] if _contains(band.keep_window, t[0])]
 
 
 def band_filter(x: ArraySignal, band: BandDefinition) -> ArraySignal:

@@ -550,6 +550,16 @@ class TestSweepMatchesReception:
         ),
         19,
     )
+    @example(
+        # every sweep point of line 5 is a null, so the weak-line path and
+        # far_field_receive must sum the same rounding residue the same way
+        (
+            steer_tones(FrequencyGrid(2 * np.pi, 32), ArrayGeometry(6, 0.5), {1: 0.0, 4: 0.0}),
+            PolynomialNonlinearity((0.0,) * 7 + (1.0,)),
+            BandDefinition((1, 4), (0, 0), (5, 5), (0, 5)),
+        ),
+        16,
+    )
     def test_sweep_is_array_gain_and_reception(self, plan, points):
         # every present line, DC included: the sweep's peak gain is the array
         # gain at its peak, and its powers are what far_field_receive gives
@@ -568,6 +578,27 @@ class TestSweepMatchesReception:
             for i in sampled:
                 received = far_field_receive(sig, p.taus[i]).line_power(k)
                 assert abs(p.powers[i] - received) <= atol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.integers(1, 6),
+        st.floats(-1.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_array_gain_is_reception_exactly(self, m_count, num_lines, tau, seed):
+        # array_gain and far_field_receive share one sum, so every line the
+        # reception keeps agrees bit for bit; a pairwise and a sequential sum
+        # of the same terms differ from 8 antennas up.  The gain is compared
+        # with the quotient, since gain * total need not round back to power
+        rng = np.random.default_rng(seed)
+        lines = rng.choice(GRID.max_index + 1, num_lines, replace=False)
+        phasors = rng.normal(size=(m_count, num_lines)) + 1j * rng.normal(size=(m_count, num_lines))
+        sig = ArraySignal.from_phasors(GRID, lines, phasors)
+        received = far_field_receive(sig, tau)
+        for k in received.line_indices():
+            power = received.line_power(k)
+            assert array_gain(sig, k, tau) == power / sig.port_line_power_total(k)
 
 
 def lobe_signal(m_count, k, base_rate, element_delay, tau0, spread, seed):

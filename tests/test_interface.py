@@ -60,7 +60,6 @@ PUBLIC_NAMES = [
     "band_filter",
     "delay_to_angle",
     "distortion_delays",
-    "distortion_terms_near_band",
     "estimate_lines",
     "evm",
     "far_field_receive",

@@ -13,7 +13,6 @@ from imdbeam import (
     PolynomialNonlinearity,
     apply_polynomial,
     band_filter,
-    distortion_terms_near_band,
     estimate_lines,
     sample_waveform,
     tone,
@@ -155,6 +154,10 @@ class TestTwoToneThirdOrderTerms:
     def test_order_contract(self):
         terms = two_tone_third_order_terms(9, 11, 0.0, 0.0, 0.1)
         assert [k for k, _, _ in terms] == [9, 11, 31, 13, 29, 7, 27, 33]
+        # at alpha = -4/9 gain compression cancels both fundamentals exactly,
+        # so the table starts with the products
+        terms = two_tone_third_order_terms(10, 13, 0.0, 0.0, -4 / 9)
+        assert [k for k, _, _ in terms] == [36, 16, 33, 7, 30, 39]
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -176,32 +179,6 @@ class TestThreeWayEquivalence:
         via_time_domain = time_domain_spectrum(x, f)
         assert via_convolution.allclose(via_closed_form, rtol=1e-12, atol=1e-13)
         assert via_convolution.allclose(via_time_domain, rtol=1e-9, atol=1e-11)
-
-
-class TestDistortionTermsNearBand:
-    def test_standard_plan(self):
-        terms = two_tone_third_order_terms(9, 11, 0.0, 0.0, 0.1)
-        near = distortion_terms_near_band(terms, BAND)
-        assert sorted(k for k, _, _ in near) == [7, 13]
-        assert all(amp == pytest.approx(0.075, rel=1e-12) for _, amp, _ in near)
-
-    def test_linear_device_empty(self):
-        terms = two_tone_third_order_terms(9, 11, 0.0, 0.0, 0.0)
-        assert distortion_terms_near_band(terms, BAND) == []
-
-    def test_adjacent_tone_plan(self):
-        terms = two_tone_third_order_terms(9, 10, 0.0, 0.0, 0.1)
-        near = distortion_terms_near_band(terms, BAND)
-        assert sorted(k for k, _, _ in near) == [8, 11]
-
-    def test_cancelled_fundamentals_keep_every_product(self):
-        # at alpha = -4/9 gain compression cancels both fundamentals exactly,
-        # so the expansion starts with the products; all six are distortion
-        terms = two_tone_third_order_terms(10, 13, 0.0, 0.0, -4 / 9)
-        assert [k for k, _, _ in terms] == [36, 16, 33, 7, 30, 39]
-        band = BandDefinition.around((10, 13), 3, keep_window=(0, 60))
-        near = distortion_terms_near_band(terms, band)
-        assert sorted(k for k, _, _ in near) == [7, 16, 30, 33, 36, 39]
 
 
 class TestBandDefinition:
