@@ -360,11 +360,11 @@ def delay_to_angle(tau: float, element_delay: float) -> float:
 class Pattern:
     """Received line power versus receive delay over the principal interval.
 
-    ``peak_gain`` is the received-to-summed-port power ratio at the argmax
-    grid point (array gain at grid resolution); ``peak_taus`` lists every
-    local maximum within grid-quantization tolerance of the global peak, so
-    spatially aliased lines report all of their coherent directions instead
-    of pretending uniqueness; a flat pattern reports its argmax alone.
+    ``peak_taus`` lists every local maximum within grid-quantization tolerance
+    of the global peak (a flat pattern: its argmax alone), so an aliased line
+    reports all its coherent directions; ``peak_tau`` is the one nearest
+    broadside, where ``peak_power`` and ``peak_gain``, the received-to-summed-
+    port power ratio (array gain at grid resolution), are taken.
     """
 
     freq_index: int
@@ -417,16 +417,17 @@ def _build_pattern(
     peak_rel_tol: float,
 ) -> Pattern:
     ipk = int(np.argmax(powers))
-    peak_power = float(powers[ipk])
     mean_power = float(np.mean(powers))
-    floor = peak_power * (1.0 - peak_rel_tol)
-    if powers.min() >= floor:  # flat (all-zero included): one peak, no lobes
-        peak_taus = (float(taus[ipk]),)
-    else:
+    floor = float(powers[ipk]) * (1.0 - peak_rel_tol)
+    peaks = [ipk]  # flat (all-zero included): one peak, no lobes
+    if powers.min() < floor:
         left = np.concatenate(([-np.inf], powers[:-1]))
         right = np.concatenate((powers[1:], [-np.inf]))
-        is_peak = (powers >= left) & (powers >= right) & (powers >= floor)
-        peak_taus = tuple(float(t) for t in taus[is_peak])
+        peaks = np.flatnonzero((powers >= left) & (powers >= right) & (powers >= floor))
+        # equal lobes differ by rounding: the one nearest broadside, negative first
+        ipk = min(peaks, key=lambda i: (abs(taus[i]), taus[i]), default=ipk)
+    peak_power = float(powers[ipk])
+    peak_taus = tuple(float(t) for t in taus[peaks])
     return Pattern(
         freq_index=freq_index,
         taus=taus,

@@ -9,15 +9,17 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): every
 draw is a pure function of (seed, trial, antenna, line), which makes results
 reproducible across platforms and orderings.  The hash chains the four 64-bit
 key words through splitmix64 steps in numpy ``uint64`` arithmetic, so one call
-draws the phases of a whole trial chunk.
+draws the phases of a whole trial chunk.  A phase is one of 2**16 points
+spaced evenly (so E[e^{i phi}] = E[e^{2i phi}] = 0); its phasor is a lookup.
 
 The trial-averaged pattern is a quadratic form in the per-trial coefficient
 vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
-``mean_pattern`` sums ``G`` serially over fixed trial chunks, in chunk order,
-and sweeps it by one chirp-z transform of its lag sums ``sum_m G[m + d, m]``.
+``mean_pattern`` assembles ``G`` from phasor sums taken serially over fixed
+trial chunks, in chunk order, and sweeps its lag sums by one chirp-z.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,6 +43,9 @@ DIRECTIVE_CONTRAST = 1.5
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
+PHASE_BITS = 16
+PHASE_STEP = TWO_PI * 2.0**-PHASE_BITS
+
 
 @dataclass(frozen=True)
 class NoiseModelConfig:
@@ -63,6 +68,10 @@ class NoiseModelConfig:
         if not _I64_MIN <= self.seed <= _I64_MAX:
             raise ValueError("seed must fit in 64 bits")
 
+    def magnitude(self, line):
+        """Magnitude of a noise coefficient of power ``per_antenna_line_power``."""
+        return np.sqrt(self.per_antenna_line_power / _line_factor(line))
+
 
 # splitmix64 (Steele, Lea and Flood, OOPSLA 2014): Weyl increment and the
 # multipliers of its 64-bit finaliser
@@ -79,14 +88,20 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _phase_from_hash(h: np.ndarray) -> np.ndarray:
-    """Top 53 bits of a ``uint64`` hash as a phase; the largest hash maps to
-    ``TWO_PI * (1 - 2**-53)``, which rounds strictly below ``TWO_PI``."""
-    return (h >> 11).astype(np.float64) * (TWO_PI * 2.0**-53)
+    """Top ``PHASE_BITS`` bits of a ``uint64`` hash as ``index * PHASE_STEP``;
+    the largest hash maps to ``TWO_PI - PHASE_STEP``."""
+    return (h >> (64 - PHASE_BITS)).astype(np.float64) * PHASE_STEP
+
+
+@cache
+def _phasor_table() -> np.ndarray:
+    """``exp(1j * (j * PHASE_STEP))`` at every index ``j``; built on first use."""
+    return np.exp(1j * (np.arange(2**PHASE_BITS) * PHASE_STEP))
 
 
 def uniform_phase(seed, trial, antenna, line):
-    """Deterministic uniform phase on [0, 2*pi) keyed by the full draw
-    coordinate; no shared generator state.
+    """Deterministic phase, uniform on the grid ``j * PHASE_STEP`` of [0, 2*pi),
+    keyed by the full draw coordinate; no shared generator state.
 
     Each key is an int64 scalar or array.  The keys broadcast against each
     other: the result has their broadcast shape (a float for four scalars),
@@ -106,11 +121,11 @@ def uniform_phase(seed, trial, antenna, line):
 
 
 def _noise(cfg: NoiseModelConfig, trial, antenna, line):
-    """Noise coefficient of power ``per_antenna_line_power`` and uniform
-    phase at each (trial, antenna, line) key; the keys broadcast as in
-    :func:`uniform_phase`."""
-    magnitude = np.sqrt(cfg.per_antenna_line_power / _line_factor(line))
-    return magnitude * np.exp(1j * uniform_phase(cfg.seed, trial, antenna, line))
+    """Unit phasor ``exp(1j * uniform_phase(...))`` of the noise at each
+    (trial, antenna, line) key, read from the phasor table; the keys broadcast
+    as in :func:`uniform_phase`."""
+    index = np.rint(uniform_phase(cfg.seed, trial, antenna, line) / PHASE_STEP)
+    return _phasor_table()[index.astype(np.intp)]
 
 
 def independent_noise_transmit(
@@ -125,7 +140,7 @@ def independent_noise_transmit(
         return desired
     lines = np.array(cfg.distortion_line_indices)
     antennas = np.arange(desired.num_antennas)
-    noise = _noise(cfg, trial, antennas[:, None], lines[None, :])
+    noise = cfg.magnitude(lines) * _noise(cfg, trial, antennas[:, None], lines[None, :])
     return ArraySignal.from_phasors(
         desired.grid,
         np.concatenate((desired.support, lines)),
@@ -144,9 +159,9 @@ def mean_pattern(
     ``freq_index``.
 
     Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
-    order, so the result is bit-identical on every run.  Each chunk
-    contributes its coefficient covariance ``sum_t conj(c_t) c_t^T``; the
-    total's lag sums are swept once, by chirp-z, at M**2 plus FFT cost.
+    order, so the result is bit-identical on every run.  The unit phasors'
+    sums and Gram matrix give the covariance ``sum_t conj(c_t) c_t^T`` once;
+    its lag sums are swept once, by chirp-z, at M**2 plus FFT cost.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
@@ -154,11 +169,16 @@ def mean_pattern(
     m_count = geometry.num_antennas
     c_des = desired.coefficients(freq_index)
     antennas = np.arange(m_count)
-    total = np.zeros((m_count, m_count), dtype=complex)
+    sums, gram = np.zeros(m_count, complex), np.zeros((m_count, m_count), complex)
     for lo in range(0, cfg.trials, TRIAL_CHUNK):
         trials = np.arange(lo, min(lo + TRIAL_CHUNK, cfg.trials))
-        coeffs = c_des[None, :] + _noise(cfg, trials[:, None], antennas, freq_index)
-        total += coeffs.conj().T @ coeffs
+        unit = _noise(cfg, trials[:, None], antennas, freq_index)
+        sums += unit.sum(axis=0)
+        gram += unit.conj().T @ unit
+    magnitude = cfg.magnitude(freq_index)
+    cross = np.outer(c_des.conj(), magnitude * sums)
+    total = cfg.trials * np.outer(c_des.conj(), c_des) + cross + cross.conj().T
+    total += magnitude**2 * gram
     # with h_d = sum_m G[m + d, m] and h_0 halved, s^H G s = 2 Re sum_d h_d e^{i d omega tau}
     # is >= 0 exactly, so a negative value is rounding near a null
     lags = np.subtract.outer(antennas, antennas)

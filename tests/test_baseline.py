@@ -28,7 +28,13 @@ from imdbeam import (
     uniform_phase,
 )
 from imdbeam.array import steering
-from imdbeam.baseline import TRIAL_CHUNK, _phase_from_hash
+from imdbeam.baseline import (
+    PHASE_BITS,
+    TRIAL_CHUNK,
+    _noise,
+    _phase_from_hash,
+    _phasor_table,
+)
 from imdbeam.spectra import TWO_PI
 
 GRID = FrequencyGrid(2 * np.pi, 64)
@@ -167,6 +173,18 @@ class TestMeanPattern:
         again = mean_pattern(cfg, desired, GEO, 13, 512)
         assert np.array_equal(again.powers, serial.powers)
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_zero_desired_line_within_eight_sigma_of_expectation(self, seed):
+        # the benchmark checker's baseline_expectation gate: with no desired
+        # line, every swept power lies within 8/sqrt(trials) of M * P_line
+        m_count, power, trials = 64, 0.003, 10_000
+        geometry = ArrayGeometry(m_count, 1.0 / 26.0)
+        desired = ArraySignal.from_phasors(GRID, [9], np.ones((m_count, 1)))
+        cfg = NoiseModelConfig((13,), power, trials, seed)
+        mp = mean_pattern(cfg, desired, geometry, 13, 1024)
+        expected = m_count * power
+        assert np.max(np.abs(mp.powers - expected)) <= 8 * expected / np.sqrt(trials)
+
     def test_unconfigured_line_rejected(self):
         _, desired = scenario()
         cfg = NoiseModelConfig((13,), 0.004, 5, 7)
@@ -289,6 +307,30 @@ class TestUniformPhaseVectorised:
         np.testing.assert_allclose(
             mp.powers, expected, rtol=0, atol=1e-12 * expected.max()
         )
+
+
+class TestUniformPhaseTable:
+    """One draw: the phasor table read by the noise draws is exp(1j * phase)
+    of the phases uniform_phase returns, bit for bit."""
+
+    def test_noise_on_a_full_chunk_is_exp_of_the_phase(self):
+        power, seed = 0.003, -77
+        cfg = NoiseModelConfig((13,), power, TRIAL_CHUNK, seed)
+        trials, antennas = np.arange(TRIAL_CHUNK)[:, None], np.arange(64)
+        unit = _noise(cfg, trials, antennas, 13)
+        exact = np.exp(1j * uniform_phase(seed, trials, antennas, 13))
+        assert unit.shape == (TRIAL_CHUNK, 64)
+        assert np.array_equal(unit.view(np.uint64), exact.view(np.uint64))
+        magnitude = cfg.magnitude(13)
+        assert magnitude == np.sqrt(power / 2.0)
+        noise, expected = magnitude * unit, magnitude * exact
+        assert np.array_equal(noise.view(np.uint64), expected.view(np.uint64))
+
+    def test_table_has_the_moments_of_a_uniform_phase(self):
+        table = _phasor_table()
+        assert table.shape == (2**PHASE_BITS,)
+        assert abs(table.mean()) < 1e-15
+        assert abs((table**2).mean()) < 1e-15
 
 
 class TestUniformPhaseStatistics:

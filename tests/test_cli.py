@@ -964,3 +964,25 @@ class TestScaleInvariance:
             gaps = np.abs(taus[:, None] - ref_taus[None, :])
             assert gaps.min(axis=1).max() <= step * (1 + 1e-9)
             assert gaps.min(axis=0).max() <= step * (1 + 1e-9)
+
+    def test_peak_tau_is_independent_of_the_tone_amplitudes(self, tmp_path, capsys):
+        # the README config without its baseline: tone lines 9 and 11 are
+        # spatially aliased, so each has lobes of equal height; peak_tau names
+        # the one nearest broadside, not the one rounding makes largest
+        patterns = {}
+        for amplitude in (1.0, 1e-5):
+            doc = multi_user_config(sweep_points=1024, seed=1234)
+            for tone in doc["tones"]:
+                tone["amplitude"] = amplitude
+            path = tmp_path / f"amplitude_{amplitude:g}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out_{amplitude:g}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            patterns[amplitude] = {p["freq_index"]: p for p in report["patterns"]}
+        capsys.readouterr()
+        for line in (9, 11):
+            p = patterns[1.0][line]
+            assert p["multi_peaked"]
+            assert p["peak_tau"] == min(p["peak_taus"], key=lambda t: (abs(t), t))
+            assert patterns[1e-5][line]["peak_tau"] == p["peak_tau"]
