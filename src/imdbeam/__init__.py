@@ -10,7 +10,7 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .array import (
     ArrayGeometry,

@@ -80,10 +80,11 @@ class SteeringAssignment:
     """Per-antenna, per-tone phases realizing direction targets.
 
     Antenna 0 is the phase reference; ``phases[m][j]`` is the phase of tone
-    ``tone_indices[j]`` on antenna ``m``, reduced mod 2*pi.  ``targets``
-    holds the steering delay per tone when the assignment was produced by
-    :func:`steer_tones`; :func:`distortion_delays` needs them, since the
-    reduced phases do not determine a direction.
+    ``tone_indices[j]`` (positive, increasing) on antenna ``m``, reduced mod
+    2*pi; every number is finite.  ``targets`` holds the steering delay per
+    tone when the assignment was produced by :func:`steer_tones`;
+    :func:`distortion_delays` needs them, since the reduced phases do not
+    determine a direction.
     """
 
     grid: FrequencyGrid
@@ -101,10 +102,11 @@ class SteeringAssignment:
             raise ValueError("amplitudes and phase rows must match tone_indices")
         if self.targets is not None and len(self.targets) != k:
             raise ValueError("targets must match tone_indices")
-        if any(k < 1 for k in self.tone_indices):
-            raise ValueError("tone indices must be positive")
-        if not np.isfinite(self.phases).all():
-            raise ValueError("phases must be finite")
+        if not all(a < b for a, b in zip((0, *self.tone_indices), self.tone_indices)):
+            raise ValueError("tone indices must be positive and strictly increasing")
+        for name in ("phases", "amplitudes", "targets"):
+            if not np.isfinite(getattr(self, name) or ()).all():
+                raise ValueError(f"{name} must be finite")
 
     def input_signal(self) -> ArraySignal:
         """Multi-tone inputs of all antennas' devices: row ``m`` drives the
@@ -207,6 +209,7 @@ def transmit(
     signal = ArraySignal.from_phasors(
         assignment.grid, lines[kept], table.phasors[0, kept].real * weights * rotations
     )
+    # changes nothing (kept orders lie in the keep window), but the benchmark tracer needs its span
     return band_filter(signal, band)
 
 
@@ -282,28 +285,30 @@ def _chirp_z(coefficients: np.ndarray, omega: float, half_width: float, num_poin
 
 
 @dataclass(frozen=True)
+class ProductDirection:
+    """Delay ``tau``, modulo ``modulus`` (one full phase turn at the line's
+    frequency), at which the distortion product on line ``line_index``
+    recombines.  ``tau`` is the quotient of the unreduced steering phase
+    differences, so single-user steering reproduces the target delay exactly;
+    :func:`fold_delay` moves it into a principal interval."""
+
+    line_index: int
+    tau: float
+    modulus: float
+
+
+@dataclass(frozen=True)
 class DistortionDirections:
-    """Delays at which the two near-band third-order products, the orders
-    ``(-1, 2)`` and ``(-2, 1)`` of :func:`distortion_delays`, recombine.
+    """The two near-band third-order products of :func:`distortion_delays`:
+    ``upper`` is the order ``(-1, 2)``, ``lower`` the order ``(-2, 1)``."""
 
-    Each delay is defined modulo its ``modulus`` (one full phase turn at the
-    product's frequency); the stored value is the quotient of the unreduced
-    steering phase differences, so single-user steering reproduces the target
-    delay exactly.  Use :func:`fold_delay` to move a value into a principal
-    interval.
-    """
-
-    upper_index: int
-    upper_tau: float
-    upper_modulus: float
-    lower_index: int
-    lower_tau: float
-    lower_modulus: float
+    upper: ProductDirection
+    lower: ProductDirection
 
 
-def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> DistortionDirections:
+def distortion_delays(assignment: SteeringAssignment) -> DistortionDirections:
     """Directions of coherent recombination for the products at ``2*k2 - k1``
-    and ``|k2 - 2*k1|``.
+    and ``|k2 - 2*k1|`` of the assignment's two tones ``k1 < k2``.
 
     One order rule: the order ``n`` (``n[j]`` signed copies of tone ``j``) at
     line ``n . k`` combines at ``tau_n = sum_j n_j k_j t_j / (n . k)`` for the
@@ -314,31 +319,34 @@ def distortion_delays(k1: int, k2: int, assignment: SteeringAssignment) -> Disto
     """
     if assignment.geometry.num_antennas < 2:
         raise ValueError("distortion directions need at least 2 antennas")
+    if len(assignment.tone_indices) != 2:
+        raise ValueError("distortion directions need exactly two tones")
     if assignment.targets is None:
         raise ValueError("distortion directions need the assignment's steering targets")
-    if not k1 < k2:
-        raise ValueError("tone indices must satisfy k1 < k2")
-    if assignment.tone_indices != (k1, k2):
-        raise ValueError("assignment must steer exactly the tones (k1, k2)")
+    (k1, k2), (t1, t2) = assignment.tone_indices, assignment.targets
     if k2 == 2 * k1:
         raise DegenerateFrequencyPlanError(
             "k2 = 2*k1 places the difference product at zero frequency"
         )
-    t1, t2 = assignment.targets
-    directions = []
-    for n1, n2 in ((-1, 2), (-2, 1)):
+
+    def product(n1: int, n2: int) -> ProductDirection:
         line = n1 * k1 + n2 * k2  # signed; the physical line sits at |line|
         tau = (n1 * k1 * t1 + n2 * k2 * t2) / line
-        directions += [abs(line), tau, TWO_PI / (abs(line) * assignment.grid.base_rate)]
-    return DistortionDirections(*directions)
+        return ProductDirection(abs(line), tau, TWO_PI / (abs(line) * assignment.grid.base_rate))
+
+    return DistortionDirections(upper=product(-1, 2), lower=product(-2, 1))
 
 
 def fold_delay(tau: float, modulus: float, half_width: float) -> float:
     """Congruent representative of ``tau`` (mod ``modulus``) inside
-    ``[-half_width, half_width]``; raises when none exists."""
+    ``[-half_width, half_width]``, ``tau`` itself when it lies there; raises
+    ``ValueError`` when none exists (a non-finite ``tau`` has none)."""
     if not modulus > 0:
         raise ValueError("modulus must be positive")
-    r = tau - round(tau / modulus) * modulus
+    if -half_width <= tau <= half_width:
+        return float(tau)
+    turns = tau / modulus
+    r = tau - round(turns) * modulus if math.isfinite(turns) else math.inf
     if abs(r) <= half_width * (1.0 + 1e-12):
         return float(min(max(r, -half_width), half_width))
     raise ValueError(
@@ -350,6 +358,8 @@ def fold_delay(tau: float, modulus: float, half_width: float) -> float:
 def delay_to_angle(tau: float, element_delay: float) -> float:
     """Broadside-referenced direction angle ``arcsin(tau / element_delay)``
     in radians, valid for ``|tau| <= element_delay``."""
+    if not (math.isfinite(tau) and 0 < element_delay < math.inf):
+        raise ValueError("tau must be finite and element_delay positive and finite")
     ratio = tau / element_delay
     if abs(ratio) > 1.0 + 1e-12:
         raise ValueError("|tau| exceeds the element delay; no physical angle")

@@ -464,14 +464,14 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     distortion direction, and the optional independent-noise comparison."""
     notes: list[str] = []
     assignment, signal = _scenario_signal(cfg)
-    k1, k2 = assignment.tone_indices
-    dd = distortion_delays(k1, k2, assignment)
-    products = tuple(k for k in (dd.upper_index, dd.lower_index) if signal.has_line(k))
-    noise_lines = () if cfg.baseline is None else (cfg.baseline.line_indices or products)
+    dd = distortion_delays(assignment)
+    planned = {p.line_index: p for p in (dd.upper, dd.lower)}
+    products = {k: p for k, p in planned.items() if signal.has_line(k)}
+    noise_lines = () if cfg.baseline is None else (cfg.baseline.line_indices or tuple(products))
 
     # every line the report shows or contrasts is swept once, here
     patterns: dict[int, Pattern] = {}
-    for k in dict.fromkeys((k1, k2, dd.upper_index, dd.lower_index, *noise_lines)):
+    for k in dict.fromkeys((*assignment.tone_indices, *planned, *noise_lines)):
         if signal.has_line(k):
             patterns[k] = pattern_sweep(signal, k, cfg.geometry, cfg.sweep_points)
         else:
@@ -490,26 +490,17 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
 
     for t, tau in zip(cfg.tones, cfg.targets):
         _add_direction(tau, f"target of tone {t.index}")
-    for k, tau, modulus in (
-        (dd.upper_index, dd.upper_tau, dd.upper_modulus),
-        (dd.lower_index, dd.lower_tau, dd.lower_modulus),
-    ):
-        if not signal.has_line(k):
-            continue
-        if abs(tau) <= delta:
-            _add_direction(tau, f"distortion product line {k}")
-        else:
-            try:
-                folded = fold_delay(tau, modulus, delta)
-            except ValueError:
-                notes.append(
-                    f"distortion direction of line {k} (tau={tau:.12g}) has no "
-                    f"representative within the principal interval; skipped"
-                )
-                continue
-            _add_direction(
-                folded, f"distortion product line {k} (folded from {tau:.12g})"
+    for p in products.values():
+        try:
+            folded = fold_delay(p.tau, p.modulus, delta)
+        except ValueError:
+            notes.append(
+                f"distortion direction of line {p.line_index} (tau={p.tau:.12g}) has no "
+                f"representative within the principal interval; skipped"
             )
+            continue
+        origin = "" if folded == p.tau else f" (folded from {p.tau:.12g})"
+        _add_direction(folded, f"distortion product line {p.line_index}{origin}")
 
     all_reports = port_vs_ota_report(
         signal, assignment, cfg.band, [tau for tau, _ in directions]
@@ -609,22 +600,15 @@ def _baseline_jsonable(bundle: ReportBundle) -> dict:
 
 
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
-    cfg, assignment, dd = bundle.config, bundle.assignment, bundle.distortion
+    cfg = bundle.config
     return {
         "provenance": {
             "config_sha256": config_hash(cfg),
             "version": __version__,
             "seed": cfg.seed,
         },
-        "steering": _fields(assignment, "grid", "geometry"),
-        "distortion_directions": {
-            side: {
-                "line_index": getattr(dd, f"{side}_index"),
-                "tau": getattr(dd, f"{side}_tau"),
-                "modulus": getattr(dd, f"{side}_modulus"),
-            }
-            for side in ("upper", "lower")
-        },
+        "steering": _fields(bundle.assignment, "grid", "geometry"),
+        "distortion_directions": bundle.distortion,
         "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
         # line indices as strings: sort_keys would order int keys by number
         "directions": [
@@ -692,6 +676,7 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
         raise ConfigError("$", f"cannot read config {path}: {e.strerror}") from None
     overrides = {k: v for k, v in (("seed", seed), ("sweep_points", points)) if v is not None}
     if not overrides:
+        # kept apart from the path below: the benchmark tracer needs the parse_config span
         return parse_config(text)
     doc = _decode(text)
     # the overrides replace their fields before the fields are checked

@@ -119,10 +119,10 @@ def test_criterion_3_single_user_co_beamforming():
 def test_criterion_4_multi_user_distortion_directions():
     with criterion(4, "multi-user distortion directions"):
         assignment, signal, geo = multi_user_signal()
-        dd = distortion_delays(9, 11, assignment)
-        assert dd.upper_tau == pytest.approx(4.8 / 13, rel=1e-12)
-        assert dd.lower_tau == pytest.approx(3.0 / 70, rel=1e-12)
-        for k, tau in ((13, dd.upper_tau), (7, dd.lower_tau)):
+        dd = distortion_delays(assignment)
+        assert dd.upper.tau == pytest.approx(4.8 / 13, rel=1e-12)
+        assert dd.lower.tau == pytest.approx(3.0 / 70, rel=1e-12)
+        for k, tau in ((13, dd.upper.tau), (7, dd.lower.tau)):
             pattern = pattern_sweep(signal, k, geo, 1024)
             assert abs(pattern.nearest_peak(tau) - tau) <= pattern.step
             for user_tau in (MU_TAU1, MU_TAU2):

@@ -3,6 +3,7 @@ closed-form distortion directions, cross-checked against a delayed
 time-domain oracle."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -147,8 +148,21 @@ class TestSteerTones:
             (lambda a: {"phases": (a.phases[0], a.phases[1][:1])}, "phase rows"),
             (lambda a: {"targets": a.targets[:1]}, "targets"),
             (lambda a: {"tone_indices": (0, 11)}, "positive"),
+            (lambda a: {"tone_indices": (11, 9)}, "strictly increasing"),
+            (lambda a: {"amplitudes": (np.nan, 1.0)}, "amplitudes must be finite"),
+            (lambda a: {"amplitudes": (1.0, np.inf)}, "amplitudes must be finite"),
+            (lambda a: {"targets": (np.nan, TAU2)}, "targets must be finite"),
         ],
-        ids=["missing-row", "short-row", "targets-length", "tone-index-0"],
+        ids=[
+            "missing-row",
+            "short-row",
+            "targets-length",
+            "tone-index-0",
+            "tone-order",
+            "nan-amplitude",
+            "inf-amplitude",
+            "nan-target",
+        ],
     )
     def test_malformed_assignment_rejected(self, changes, message):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2})
@@ -309,10 +323,10 @@ class TestTransmitProperties:
         assignment = steer_tones(grid, geo, {k1: 0.1, k2: 0.2})
         f = PolynomialNonlinearity((1.0, 0.0, 0.1, 0.0, 0.01, 0.0, 0.001, 0.0, 1e-4))
         sig = transmit(assignment, f, BandDefinition.around((k1, k2), 8))
-        dd = distortion_delays(k1, k2, assignment)
-        pattern = pattern_sweep(sig, dd.upper_index, geo)
-        assert array_gain(sig, dd.upper_index, dd.upper_tau) == pytest.approx(64, rel=1e-9)
-        assert abs(pattern.nearest_peak(dd.upper_tau) - dd.upper_tau) <= pattern.step
+        dd = distortion_delays(assignment)
+        pattern = pattern_sweep(sig, dd.upper.line_index, geo)
+        assert array_gain(sig, dd.upper.line_index, dd.upper.tau) == pytest.approx(64, rel=1e-9)
+        assert abs(pattern.nearest_peak(dd.upper.tau) - dd.upper.tau) <= pattern.step
 
 
 @st.composite
@@ -414,25 +428,25 @@ class TestDistortionDelays:
         geo = ArrayGeometry(2, 0.2)
         for tau in (0.01, -0.05, 0.13):
             a = steer_tones(GRID, geo, {9: tau, 11: tau}, base_phases={9: 0.7, 11: -0.2})
-            dd = distortion_delays(9, 11, a)
-            assert dd.upper_tau == pytest.approx(tau, rel=1e-12, abs=1e-15)
-            assert dd.lower_tau == pytest.approx(tau, rel=1e-12, abs=1e-15)
+            dd = distortion_delays(a)
+            assert dd.upper.tau == pytest.approx(tau, rel=1e-12, abs=1e-15)
+            assert dd.lower.tau == pytest.approx(tau, rel=1e-12, abs=1e-15)
 
     def test_worked_multi_user_plan(self):
         assignment, _, _ = multi_user_signal()
-        dd = distortion_delays(9, 11, assignment)
-        assert dd.upper_index == 13 and dd.lower_index == 7
-        assert dd.upper_tau == pytest.approx(4.8 / 13, rel=1e-12)
-        assert dd.lower_tau == pytest.approx(3.0 / 70, rel=1e-12)
-        assert dd.upper_modulus == pytest.approx(1.0 / 13, rel=1e-12)
-        assert dd.lower_modulus == pytest.approx(1.0 / 7, rel=1e-12)
+        dd = distortion_delays(assignment)
+        assert dd.upper.line_index == 13 and dd.lower.line_index == 7
+        assert dd.upper.tau == pytest.approx(4.8 / 13, rel=1e-12)
+        assert dd.lower.tau == pytest.approx(3.0 / 70, rel=1e-12)
+        assert dd.upper.modulus == pytest.approx(1.0 / 13, rel=1e-12)
+        assert dd.lower.modulus == pytest.approx(1.0 / 7, rel=1e-12)
 
     def test_generic_targets_give_new_directions(self):
         a = steer_tones(GRID, GEO_MU, {9: 0.11, 11: -0.07})
-        dd = distortion_delays(9, 11, a)
+        dd = distortion_delays(a)
         for tau in (0.11, -0.07):
-            assert abs(dd.upper_tau - tau) > 1e-6
-            assert abs(dd.lower_tau - tau) > 1e-6
+            assert abs(dd.upper.tau - tau) > 1e-6
+            assert abs(dd.lower.tau - tau) > 1e-6
 
     def test_no_phase_fallback_without_targets(self):
         # reduced phases fix no direction; only the steering delays do
@@ -441,22 +455,75 @@ class TestDistortionDelays:
             GRID, GEO_SU, a.tone_indices, a.amplitudes, a.phases, targets=None
         )
         with pytest.raises(ValueError, match="targets"):
-            distortion_delays(9, 11, bare)
+            distortion_delays(bare)
 
     def test_degenerate_plan_rejected(self):
         a = steer_tones(GRID, GEO_MU, {5: 0.1, 10: 0.2})
         with pytest.raises(DegenerateFrequencyPlanError):
-            distortion_delays(5, 10, a)
+            distortion_delays(a)
 
     def test_preconditions(self):
         a = steer_tones(GRID, ArrayGeometry(1, 0.5), {9: 0.1, 11: 0.1})
-        with pytest.raises(ValueError):
-            distortion_delays(9, 11, a)
-        b = steer_tones(GRID, GEO_MU, {9: 0.1, 11: 0.1})
-        with pytest.raises(ValueError):
-            distortion_delays(9, 12, b)
-        with pytest.raises(ValueError, match="k1 < k2"):
-            distortion_delays(11, 9, b)
+        with pytest.raises(ValueError, match="2 antennas"):
+            distortion_delays(a)
+        for targets in ({9: 0.1}, {9: 0.1, 11: 0.1, 12: 0.1}):
+            b = steer_tones(GRID, GEO_MU, targets)
+            with pytest.raises(ValueError, match="exactly two tones"):
+                distortion_delays(b)
+
+
+@st.composite
+def product_plans(draw):
+    """Two tones at random targets under the tone-plan conditions of the
+    benchmark scenarios: ``k1 > 2 * degree`` and ``gcd(k1, k2) = 1`` put
+    every mixing order of the device on its own line, and ``k2 < 1.25 * k1``
+    lets the element delay lie between half a wavelength and one wavelength
+    at both product lines.  Returns the plan and a sweep length of 4 to 16
+    points per antenna."""
+    degree = draw(st.integers(3, 9))
+    k1 = draw(st.integers(2 * degree + 1, 3 * degree + 8))
+    k2 = k1 + draw(st.integers(1, (k1 - 1) // 4))
+    assume(math.gcd(k1, k2) == 1)
+    base_rate = 2 * np.pi * draw(st.floats(0.5, 2.0))
+    lower, upper = 2 * k1 - k2, 2 * k2 - k1
+    half_wave, full_wave = np.pi / (lower * base_rate), 2 * np.pi / (upper * base_rate)
+    delta = half_wave + draw(st.floats(0.0, 1.0)) * (full_wave - half_wave)
+    m_count = draw(st.integers(2, 64))
+    tau = st.floats(-delta, delta)
+    assignment = steer_tones(
+        FrequencyGrid(base_rate, degree * k2 + draw(st.integers(0, 4))),
+        ArrayGeometry(m_count, delta),
+        {k1: draw(tau), k2: draw(tau)},
+        base_phases={k1: draw(st.floats(-np.pi, np.pi)), k2: draw(st.floats(-np.pi, np.pi))},
+        amplitudes={k1: draw(st.floats(0.25, 1.0)), k2: draw(st.floats(0.25, 1.0))},
+    )
+    nonzero = st.floats(0.01, 0.08) | st.floats(-0.08, -0.01)
+    f = PolynomialNonlinearity((1.0, *(draw(nonzero) for _ in range(degree - 1))))
+    keep = (0, assignment.grid.max_index) if draw(st.booleans()) else None
+    band = BandDefinition.around((k1, k2), draw(st.integers(1, k2 - k1 + 2)), keep)
+    return assignment, f, band, draw(st.integers(max(16, 4 * m_count), 16 * m_count))
+
+
+class TestProductDirections:
+    @settings(max_examples=60, deadline=None)
+    @given(product_plans())
+    def test_kept_products_beamform_at_their_direction(self, plan):
+        # each product the chain keeps has a direction in the swept interval;
+        # the array gain there is M, and the line's sweep has a lobe there
+        assignment, f, band, points = plan
+        sig = transmit(assignment, f, band)
+        geo = assignment.geometry
+        dd = distortion_delays(assignment)
+        kept = [p for p in (dd.upper, dd.lower) if sig.has_line(p.line_index)]
+        assume(kept)
+        m_count = geo.num_antennas
+        for p in kept:
+            tau = fold_delay(p.tau, p.modulus, geo.element_delay)
+            assert array_gain(sig, p.line_index, tau) == pytest.approx(m_count, abs=1e-9 * m_count)
+            pattern = pattern_sweep(sig, p.line_index, geo, points)
+            offsets = (np.array(pattern.peak_taus) - tau) % p.modulus
+            nearest = np.minimum(offsets, p.modulus - offsets).min()
+            assert nearest <= pattern.step * (1 + 1e-9)
 
 
 class TestPatternSweep:
@@ -475,12 +542,12 @@ class TestPatternSweep:
 
     def test_multi_user_product_peaks_match_solver(self):
         assignment, sig, geo = multi_user_signal()
-        dd = distortion_delays(9, 11, assignment)
+        dd = distortion_delays(assignment)
         p13 = pattern_sweep(sig, 13, geo, 1024)
         assert p13.multi_peaked  # spatially aliased line reports every lobe
-        assert abs(p13.nearest_peak(dd.upper_tau) - dd.upper_tau) <= p13.step
+        assert abs(p13.nearest_peak(dd.upper.tau) - dd.upper.tau) <= p13.step
         p7 = pattern_sweep(sig, 7, geo, 1024)
-        assert abs(p7.nearest_peak(dd.lower_tau) - dd.lower_tau) <= p7.step
+        assert abs(p7.nearest_peak(dd.lower.tau) - dd.lower.tau) <= p7.step
 
     def test_missing_line(self):
         _, sig = single_user_signal()
@@ -690,13 +757,13 @@ class TestSteeringInvariants:
 
     def test_multi_user_non_coherence(self):
         assignment, sig, _ = multi_user_signal()
-        dd = distortion_delays(9, 11, assignment)
+        dd = distortion_delays(assignment)
         per_antenna = sig.per_antenna[0].line_power(13)
         coherent = 4 * per_antenna
         for tau in (TAU1, TAU2):
             received = far_field_receive(sig, tau).line_power(13)
             assert received < coherent * (1 - 1e-6)
-        at_dd = far_field_receive(sig, dd.upper_tau).line_power(13)
+        at_dd = far_field_receive(sig, dd.upper.tau).line_power(13)
         assert at_dd == pytest.approx(coherent, rel=1e-12)
 
     def test_reciprocity_with_delayed_time_oracle(self):
@@ -729,6 +796,10 @@ class TestDelayHelpers:
         folded = fold_delay(4.8 / 13, 1.0 / 13, 0.03)
         assert folded == pytest.approx(-0.2 / 13, rel=1e-9)
         assert fold_delay(0.0, 1.0, 0.5) == 0.0
+        # an in-range delay is kept, even where another representative lies
+        # nearer zero (0.045 - 1/13), and is not rounded by a round trip
+        for tau in (0.045, -0.05, 0.1 / 7):
+            assert fold_delay(tau, 1.0 / 13, 0.05) == tau
         with pytest.raises(ValueError):
             fold_delay(0.4, 1.0, 0.05)
         with pytest.raises(ValueError, match="modulus"):
@@ -741,8 +812,25 @@ class TestDelayHelpers:
         with pytest.raises(ValueError):
             fold_delay(0.4 * scale, scale, 0.05 * scale)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(np.inf, 1.0, 0.5), (-np.inf, 1.0, 0.5), (np.nan, 1.0, 0.5), (1e300, 1e-300, 0.5)],
+        ids=["inf", "-inf", "nan", "overflowing-turns"],
+    )
+    def test_fold_delay_rejects_a_delay_with_no_representative(self, args):
+        with pytest.raises(ValueError, match="no representative"):
+            fold_delay(*args)
+
     def test_delay_to_angle(self):
         assert delay_to_angle(0.05, 0.1) == pytest.approx(np.pi / 6, rel=1e-12)
         assert delay_to_angle(0.1, 0.1) == pytest.approx(np.pi / 2, rel=1e-12)
         with pytest.raises(ValueError):
             delay_to_angle(0.2, 0.1)
+
+    @pytest.mark.parametrize(
+        "tau, element_delay",
+        [(0.1, 0.0), (0.1, -0.5), (0.1, np.inf), (0.1, np.nan), (np.nan, 1.0), (np.inf, 1.0)],
+    )
+    def test_delay_to_angle_rejects_bad_input(self, tau, element_delay):
+        with pytest.raises(ValueError, match="finite"):
+            delay_to_angle(tau, element_delay)

@@ -386,8 +386,8 @@ class TestConfigProperties:
 class TestRunScenario:
     def test_single_user_bundle(self):
         bundle = run_scenario(parse(base_config()))
-        assert bundle.distortion.upper_tau == pytest.approx(0.01, rel=1e-12)
-        assert bundle.distortion.lower_tau == pytest.approx(0.01, rel=1e-12)
+        assert bundle.distortion.upper.tau == pytest.approx(0.01, rel=1e-12)
+        assert bundle.distortion.lower.tau == pytest.approx(0.01, rel=1e-12)
         assert [p.freq_index for p in bundle.patterns] == [9, 11, 13, 7]
         assert len(bundle.ports) == 2
         # all four roles collapse onto one physical direction
@@ -399,8 +399,8 @@ class TestRunScenario:
 
     def test_multi_user_bundle(self):
         bundle = run_scenario(parse(multi_user_config()))
-        assert bundle.distortion.upper_tau == pytest.approx(4.8 / 13, rel=1e-12)
-        assert bundle.distortion.lower_tau == pytest.approx(3.0 / 70, rel=1e-12)
+        assert bundle.distortion.upper.tau == pytest.approx(4.8 / 13, rel=1e-12)
+        assert bundle.distortion.lower.tau == pytest.approx(3.0 / 70, rel=1e-12)
         taus = [d.tau for d in bundle.directions]
         assert taus[:2] == [0.2, 0.3]
         assert taus[2] == pytest.approx(4.8 / 13, rel=1e-12)
