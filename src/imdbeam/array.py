@@ -132,10 +132,10 @@ def steer_tones(
     reduced mod 2*pi; single-user steering is the special case of all
     targets equal.
     """
-    tone_indices = tuple(sorted(int(k) for k in targets))
-    for k in tone_indices:
-        if k < 1 or k > grid.max_index:
+    for k in targets:
+        if not 1 <= k <= grid.max_index or int(k) != k:
             raise GridRangeError(f"tone index {k} is not on the grid")
+    tone_indices = tuple(sorted(int(k) for k in targets))
     base_phases = dict(base_phases or {})
     amplitudes = dict(amplitudes or {})
     base = np.array([float(base_phases.get(k, 0.0)) for k in tone_indices])

@@ -156,13 +156,17 @@ def _decode(text: str):
         raise ConfigError("$", f"invalid JSON: {e}") from None
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ScenarioConfig:
     """Parse and fully validate a scenario config document.
 
-    Syntax errors carry line/column; semantic errors name the offending
-    field and the violated constraint.
+    ``overrides`` replace top-level fields of the document before any field
+    is checked.  Syntax errors carry line/column; semantic errors name the
+    offending field and the violated constraint.
     """
-    return _validate(_decode(text))
+    doc = _decode(text)
+    if overrides and isinstance(doc, dict):
+        doc = doc | overrides
+    return _validate(doc)
 
 
 def _validate(doc) -> ScenarioConfig:
@@ -269,37 +273,17 @@ def _validate(doc) -> ScenarioConfig:
             f"products of tone index {k2}",
         )
 
-    band_doc = _as_object(
-        top["band"],
-        "band",
-        {"in_band", "adjacent_width", "adjacent_lower", "adjacent_upper", "keep_window"},
-    )
+    band_doc = _as_object(top["band"], "band", {"in_band", "adjacent_width", "keep_window"})
     in_band = _as_interval(band_doc.get("in_band"), "band.in_band")
+    width = _as_int(band_doc.get("adjacent_width"), "band.adjacent_width", minimum=1)
+    keep = band_doc.get("keep_window")
+    if keep is not None:
+        keep = _as_interval(keep, "band.keep_window")
     try:
-        if "adjacent_width" in band_doc:
-            for forbidden in ("adjacent_lower", "adjacent_upper"):
-                if forbidden in band_doc:
-                    raise ConfigError(
-                        f"band.{forbidden}", "conflicts with band.adjacent_width"
-                    )
-            keep = (
-                _as_interval(band_doc["keep_window"], "band.keep_window")
-                if "keep_window" in band_doc
-                else None
-            )
-            width = _as_int(band_doc["adjacent_width"], "band.adjacent_width", minimum=1)
-            band = BandDefinition.around(in_band, width, keep)
-        else:
-            band = BandDefinition(
-                in_band,
-                _as_interval(band_doc.get("adjacent_lower"), "band.adjacent_lower"),
-                _as_interval(band_doc.get("adjacent_upper"), "band.adjacent_upper"),
-                _as_interval(band_doc.get("keep_window"), "band.keep_window"),
-            )
+        band = BandDefinition(in_band, width, keep)
     except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError("band", str(e)) from None
+        # each BandDefinition message starts with the field it rejects
+        raise ConfigError(f"band.{str(e).split()[0]}", str(e)) from None
     if band.keep_window[1] > max_index:
         raise ConfigError("band.keep_window", f"exceeds grid.max_index {max_index}")
     for t in tones:
@@ -675,12 +659,7 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
     except OSError as e:
         raise ConfigError("$", f"cannot read config {path}: {e.strerror}") from None
     overrides = {k: v for k, v in (("seed", seed), ("sweep_points", points)) if v is not None}
-    if not overrides:
-        # kept apart from the path below: the benchmark tracer needs the parse_config span
-        return parse_config(text)
-    doc = _decode(text)
-    # the overrides replace their fields before the fields are checked
-    return _validate(doc | overrides if isinstance(doc, dict) else doc)
+    return parse_config(text, overrides)
 
 
 def _run_with_context(cfg: ScenarioConfig) -> ReportBundle:

@@ -69,63 +69,53 @@ class PolynomialNonlinearity:
         return acc * x
 
 
+def _index_pair(name: str, interval) -> Interval:
+    lo, hi = interval
+    iv = (int(lo), int(hi))
+    if iv != (lo, hi):
+        raise ValueError(f"{name} bounds must be integers")
+    if iv[0] < 0 or iv[0] > iv[1]:
+        raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+    return iv
+
+
 @dataclass(frozen=True)
 class BandDefinition:
     """Allocated band, its two adjacent bands, and the transmit-chain window.
 
-    All intervals are inclusive ``(lo, hi)`` pairs of non-negative indices.
-    The adjacent bands have equal width and adjoin the in-band interval; the
-    keep window covers all three and models which lines the transmit chain
-    lets through at all.
+    ``in_band`` and ``keep_window`` are inclusive ``(lo, hi)`` index pairs.
+    The adjacent bands are the ``adjacent_width`` indices on either side of
+    ``in_band``.  The keep window, which models the lines the transmit chain
+    lets through at all, defaults to the union of the three bands and must
+    cover it.  Each error message starts with the field it rejects.
     """
 
     in_band: Interval
-    adjacent_lower: Interval
-    adjacent_upper: Interval
-    keep_window: Interval
+    adjacent_width: int
+    keep_window: Interval | None = None
 
     def __post_init__(self):
-        for name in ("in_band", "adjacent_lower", "adjacent_upper", "keep_window"):
-            lo, hi = getattr(self, name)
-            iv = (int(lo), int(hi))
-            if iv != (lo, hi):
-                raise ValueError(f"{name} bounds must be integers")
-            if iv[0] < 0 or iv[0] > iv[1]:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
-            object.__setattr__(self, name, iv)
-        lower_w = self.adjacent_lower[1] - self.adjacent_lower[0]
-        upper_w = self.adjacent_upper[1] - self.adjacent_upper[0]
-        if lower_w != upper_w:
-            raise ValueError("adjacent bands must have equal width")
-        if self.adjacent_lower[1] + 1 != self.in_band[0]:
-            raise ValueError("adjacent_lower must adjoin in_band from below")
-        if self.in_band[1] + 1 != self.adjacent_upper[0]:
-            raise ValueError("adjacent_upper must adjoin in_band from above")
-        if not (
-            self.keep_window[0] <= self.adjacent_lower[0]
-            and self.keep_window[1] >= self.adjacent_upper[1]
-        ):
+        w = self.adjacent_width
+        if int(w) != w or w < 1:
+            raise ValueError("adjacent_width must be an integer >= 1")
+        lo, hi = _index_pair("in_band", self.in_band)
+        if lo - w < 0:
+            raise ValueError("adjacent_width must not exceed the lower bound of in_band")
+        union = (lo - w, hi + w)
+        keep = union if self.keep_window is None else _index_pair("keep_window", self.keep_window)
+        if keep[0] > union[0] or keep[1] < union[1]:
             raise ValueError("keep_window must cover both adjacent bands")
+        object.__setattr__(self, "in_band", (lo, hi))
+        object.__setattr__(self, "adjacent_width", int(w))
+        object.__setattr__(self, "keep_window", keep)
 
-    @classmethod
-    def around(
-        cls,
-        in_band: Interval,
-        adjacent_width: int,
-        keep_window: Interval | None = None,
-    ) -> "BandDefinition":
-        """Adjacent bands of ``adjacent_width`` indices on both sides of
-        ``in_band``; keep window defaults to exactly their union."""
-        lo, hi = int(in_band[0]), int(in_band[1])
-        if adjacent_width < 1:
-            raise ValueError("adjacent_width must be >= 1")
-        if lo - adjacent_width < 0:
-            raise ValueError("adjacent_lower would extend below index 0")
-        lower = (lo - adjacent_width, lo - 1)
-        upper = (hi + 1, hi + adjacent_width)
-        if keep_window is None:
-            keep_window = (lower[0], upper[1])
-        return cls((lo, hi), lower, upper, keep_window)
+    @property
+    def adjacent_lower(self) -> Interval:
+        return (self.in_band[0] - self.adjacent_width, self.in_band[0] - 1)
+
+    @property
+    def adjacent_upper(self) -> Interval:
+        return (self.in_band[1] + 1, self.in_band[1] + self.adjacent_width)
 
 
 def _contains(interval: Interval, k):

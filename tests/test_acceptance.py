@@ -38,7 +38,7 @@ from imdbeam.cli import config_to_jsonable, main, parse_config
 from imdbeam.spectra import SampledWaveform
 
 GRID = FrequencyGrid(2 * np.pi, 64)
-BAND = BandDefinition.around((8, 12), 4)
+BAND = BandDefinition((8, 12), 4)
 
 EXPANSION_01 = {9: 1.225, 11: 1.225, 13: 0.075, 7: 0.075,
                 31: 0.075, 29: 0.075, 27: 0.025, 33: 0.025}
@@ -95,7 +95,7 @@ def test_criterion_1_third_order_expansion():
 
 def test_criterion_2_second_order_null():
     with criterion(2, "second-order near-band null"):
-        band = BandDefinition.around((8, 12), 3)
+        band = BandDefinition((8, 12), 3)
         x = tone(GRID, 1.0, 9) + tone(GRID, 1.0, 11)
         for alpha in (0.01, 0.1, 0.5):
             y = apply_polynomial(x, PolynomialNonlinearity.second_order(alpha))
@@ -146,7 +146,7 @@ def test_criterion_6_aclr_and_evm_arithmetic():
         _, upper = aclr(y_small, BAND)
         assert upper == pytest.approx(10 * np.log10(5.625e-5 / 2 / 1.04550625), abs=0.01)
         _, y = unit_two_tone(0.1)
-        wide = BandDefinition.around((7, 13), 4)
+        wide = BandDefinition((7, 13), 4)
         refs = [(9, 1.0, 0.0), (11, 1.0, 0.0)]
         assert evm(y, refs, wide) == pytest.approx(0.075 / 1.225, rel=1e-9)
 

@@ -41,7 +41,7 @@ from imdbeam.array import _build_pattern, steering
 from imdbeam.spectra import PRUNE_THRESHOLD, SampledWaveform, _line_factor
 
 GRID = FrequencyGrid(2 * np.pi, 64)
-BAND = BandDefinition.around((8, 12), 4)
+BAND = BandDefinition((8, 12), 4)
 CUBIC = PolynomialNonlinearity.third_order(0.1)
 
 # worked multi-user plan: tones (9, 11) steered at 0.2 s and 0.3 s
@@ -169,6 +169,11 @@ class TestSteerTones:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(a, **changes(a))
 
+    def test_non_integer_tone_index_rejected(self):
+        # the index is checked as given, not truncated to a tone the targets lack
+        with pytest.raises(GridRangeError, match="tone index 9.5"):
+            steer_tones(GRID, GEO_MU, {9.5: 0.1, 11: 0.2})
+
     def test_antenna_input(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2}, amplitudes={9: 2.0, 11: 0.5})
         s = a.input_signal().per_antenna[1]
@@ -227,7 +232,7 @@ class TestTransmit:
         # 3**39 < 2**63: 39 tones through a linear device pass unchanged
         grid = FrequencyGrid(2 * np.pi, 64)
         assignment = steer_tones(grid, ArrayGeometry(3, 0.5), {k: 0.01 * k for k in range(1, 40)})
-        band = BandDefinition.around((1, 39), 1, (0, 64))
+        band = BandDefinition((1, 39), 1, (0, 64))
         sig = transmit(assignment, PolynomialNonlinearity.identity(), band)
         assert sig.line_indices() == tuple(range(1, 40))
         assert np.abs(sig.phasors - assignment.input_signal().phasors).max() <= 1e-15
@@ -292,7 +297,7 @@ def transmit_plans(draw):
         amplitudes={k1: draw(st.floats(0.1, 1.5)), k2: draw(st.floats(0.1, 1.5))},
     )
     keep = (0, max_index) if draw(st.booleans()) else None
-    band = BandDefinition.around((k1, k2), width, keep)
+    band = BandDefinition((k1, k2), width, keep)
     return assignment, PolynomialNonlinearity(tuple(coefficients)), band
 
 
@@ -322,7 +327,7 @@ class TestTransmitProperties:
         k1, k2 = 1_000_001, 1_000_003
         assignment = steer_tones(grid, geo, {k1: 0.1, k2: 0.2})
         f = PolynomialNonlinearity((1.0, 0.0, 0.1, 0.0, 0.01, 0.0, 0.001, 0.0, 1e-4))
-        sig = transmit(assignment, f, BandDefinition.around((k1, k2), 8))
+        sig = transmit(assignment, f, BandDefinition((k1, k2), 8))
         dd = distortion_delays(assignment)
         pattern = pattern_sweep(sig, dd.upper.line_index, geo)
         assert array_gain(sig, dd.upper.line_index, dd.upper.tau) == pytest.approx(64, rel=1e-9)
@@ -363,7 +368,7 @@ def colliding_plans(draw):
         amplitudes={k: draw(st.floats(0.25, 1.5)) for k in tones},
     )
     keep = (0, max_index) if draw(st.booleans()) else None
-    band = BandDefinition.around((tones[0], tones[-1]), width, keep)
+    band = BandDefinition((tones[0], tones[-1]), width, keep)
     return assignment, PolynomialNonlinearity(tuple(coefficients)), band
 
 
@@ -384,7 +389,7 @@ DC_PLAN = (
         FrequencyGrid(2 * np.pi, 6), ArrayGeometry(3, 0.25), {1: 0.05, 2: -0.1}, {1: 0.7, 2: -1.9}
     ),
     PolynomialNonlinearity((1.0, 0.3, 0.4)),
-    BandDefinition.around((1, 2), 1, (0, 6)),
+    BandDefinition((1, 2), 1, (0, 6)),
 )
 
 
@@ -500,7 +505,7 @@ def product_plans(draw):
     nonzero = st.floats(0.01, 0.08) | st.floats(-0.08, -0.01)
     f = PolynomialNonlinearity((1.0, *(draw(nonzero) for _ in range(degree - 1))))
     keep = (0, assignment.grid.max_index) if draw(st.booleans()) else None
-    band = BandDefinition.around((k1, k2), draw(st.integers(1, k2 - k1 + 2)), keep)
+    band = BandDefinition((k1, k2), draw(st.integers(1, k2 - k1 + 2)), keep)
     return assignment, f, band, draw(st.integers(max(16, 4 * m_count), 16 * m_count))
 
 
@@ -569,7 +574,7 @@ class TestPatternSweep:
         # pattern is array_gain everywhere, with one peak
         geo = ArrayGeometry(4, 1.0 / 26.0)
         a = steer_tones(GRID, geo, {9: TAU_SU, 11: TAU_SU})
-        band = BandDefinition((8, 12), (4, 7), (13, 16), (0, 40))
+        band = BandDefinition((8, 12), 4, (0, 40))
         sig = transmit(a, PolynomialNonlinearity.second_order(0.2), band)
         p = pattern_sweep(sig, 0, geo, 64)
         received = far_field_receive(sig, 0.3).line_power(0)
@@ -603,7 +608,7 @@ class TestSweepMatchesReception:
                 {1: 0.015625, 9: 0.2757959105285317},
             ),
             PolynomialNonlinearity((0.0, 0.0, 0.0, 0.0, 0.0, 1.0)),
-            BandDefinition((1, 9), (0, 0), (10, 10), (0, 54)),
+            BandDefinition((1, 9), 1, (0, 54)),
         ),
         16,
     )
@@ -613,7 +618,7 @@ class TestSweepMatchesReception:
                 FrequencyGrid(2 * np.pi, 20), ArrayGeometry(2, 0.5), {3: 0.5, 5: 0.0}
             ),
             PolynomialNonlinearity((0.0, 0.0, 0.0, 1.0)),
-            BandDefinition((3, 5), (2, 2), (6, 6), (0, 20)),
+            BandDefinition((3, 5), 1, (0, 20)),
         ),
         19,
     )
@@ -623,7 +628,7 @@ class TestSweepMatchesReception:
         (
             steer_tones(FrequencyGrid(2 * np.pi, 32), ArrayGeometry(6, 0.5), {1: 0.0, 4: 0.0}),
             PolynomialNonlinearity((0.0,) * 7 + (1.0,)),
-            BandDefinition((1, 4), (0, 0), (5, 5), (0, 5)),
+            BandDefinition((1, 4), 1, (0, 5)),
         ),
         16,
     )

@@ -38,7 +38,7 @@ from imdbeam.baseline import (
 from imdbeam.spectra import TWO_PI
 
 GRID = FrequencyGrid(2 * np.pi, 64)
-BAND = BandDefinition.around((8, 12), 4)
+BAND = BandDefinition((8, 12), 4)
 CUBIC = PolynomialNonlinearity.third_order(0.1)
 GEO = ArrayGeometry(2, 1.0 / 26.0)
 TAU = 0.01

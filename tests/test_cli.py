@@ -87,6 +87,13 @@ class TestParseConfig:
             parse(doc)
         assert err.value.field == "geometry.element_delay"
 
+    def test_overrides_replace_fields_before_checks(self):
+        text = json.dumps(base_config(sweep_points=8))
+        assert parse_config(text, {"sweep_points": 64}).sweep_points == 64
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(base_config()), {"seed": 2**63})
+        assert err.value.field == "seed"
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ConfigError, match=r"line \d+, column \d+"):
             parse_config('{"grid": {')
@@ -160,8 +167,18 @@ class TestParseConfig:
             # the lower adjacent band would start below index 0
             pytest.param(
                 lambda d: d.update(band={"in_band": [2, 12], "adjacent_width": 4}),
-                "band",
+                "band.adjacent_width",
                 id="below-zero-band",
+            ),
+            pytest.param(
+                lambda d: d.update(band={"in_band": [8, 12], "adjacent_width": 9}),
+                "band.adjacent_width",
+                id="too-wide-band.adjacent_width",
+            ),
+            pytest.param(
+                lambda d: d["band"].update(keep_window=[5, 20]),
+                "band.keep_window",
+                id="uncovering-band.keep_window",
             ),
             (
                 lambda d: d.update(
@@ -256,8 +273,8 @@ class TestParseConfig:
 
 @st.composite
 def config_docs(draw):
-    """Valid scenario documents: with and without a baseline, either band
-    form, and within the sweep bound."""
+    """Valid scenario documents: with and without a baseline and a band
+    keep window, and within the sweep bound."""
     k1 = draw(st.integers(1, 20))
     k2 = draw(st.integers(k1 + 1, k1 + 12).filter(lambda k: k != 2 * k1))
     coefficients = draw(
@@ -278,17 +295,9 @@ def config_docs(draw):
         {"index": k, "amplitude": draw(amplitude), "phase": draw(phase)}
         for k in draw(st.permutations([k1, k2]))
     ]
+    band = {"in_band": [lo, hi], "adjacent_width": width}
     if draw(st.booleans()):
-        band = {"in_band": [lo, hi], "adjacent_width": width}
-        if draw(st.booleans()):
-            band["keep_window"] = list(keep)
-    else:
-        band = {
-            "in_band": [lo, hi],
-            "adjacent_lower": [lo - width, lo - 1],
-            "adjacent_upper": [hi + 1, hi + width],
-            "keep_window": list(keep),
-        }
+        band["keep_window"] = list(keep)
     doc = {
         "grid": {"base_rate": draw(st.floats(1e-3, 1e6)), "max_index": max_index},
         "tones": tones,

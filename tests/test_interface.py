@@ -109,8 +109,7 @@ REPORT_LAYOUT = {
     },
     "config": {
         "band": {
-            "adjacent_lower": [None],
-            "adjacent_upper": [None],
+            "adjacent_width": None,
             "in_band": [None],
             "keep_window": [None],
         },

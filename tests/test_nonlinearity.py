@@ -21,7 +21,7 @@ from imdbeam import (
 from imdbeam.spectra import SampledWaveform
 
 GRID = FrequencyGrid(2 * np.pi, 64)
-BAND = BandDefinition.around((8, 12), 4)
+BAND = BandDefinition((8, 12), 4)
 
 # Closed-form amplitudes of a unit two-tone at (9, 11) through x + 0.1*x**3.
 EXPANSION_01 = {9: 1.225, 11: 1.225, 13: 0.075, 7: 0.075,
@@ -91,7 +91,7 @@ class TestApplyPolynomial:
     def test_second_order_null_near_band(self, alpha):
         # after the transmit chain, a second-order device adds nothing near
         # the tone band beyond a copy of the input
-        band = BandDefinition.around((8, 12), 3)
+        band = BandDefinition((8, 12), 3)
         x = two_tone(0.4, -0.2)
         y = band_filter(
             apply_polynomial(x, PolynomialNonlinearity.second_order(alpha)), band
@@ -183,38 +183,39 @@ class TestThreeWayEquivalence:
 
 class TestBandDefinition:
     def test_around(self):
-        band = BandDefinition.around((8, 12), 4)
+        band = BandDefinition((8, 12), 4)
         assert band.adjacent_lower == (4, 7)
         assert band.adjacent_upper == (13, 16)
         assert band.keep_window == (4, 16)
 
     def test_explicit_keep_window(self):
-        band = BandDefinition.around((8, 12), 4, keep_window=(0, 40))
+        band = BandDefinition((8, 12), 4, keep_window=(0, 40))
         assert band.keep_window == (0, 40)
 
     def test_invariants(self):
-        with pytest.raises(ValueError):  # unequal adjacent widths
-            BandDefinition((8, 12), (5, 7), (13, 16), (5, 16))
-        with pytest.raises(ValueError):  # gap below
-            BandDefinition((8, 12), (4, 6), (13, 15), (4, 15))
-        with pytest.raises(ValueError):  # keep window too small
-            BandDefinition((8, 12), (5, 7), (13, 15), (8, 12))
-        with pytest.raises(ValueError):  # below index zero
-            BandDefinition.around((2, 4), 3)
+        with pytest.raises(ValueError, match="cover"):  # keep window too small
+            BandDefinition((8, 12), 3, (8, 12))
+        with pytest.raises(ValueError, match="adjacent_width"):  # below index zero
+            BandDefinition((2, 4), 3)
         with pytest.raises(ValueError, match="integers"):
-            BandDefinition((8.5, 12), (5, 7), (13, 15), (5, 15))
+            BandDefinition((8.5, 12), 3, (5, 15))
         with pytest.raises(ValueError, match="lo <= hi"):  # reversed interval
-            BandDefinition((12, 8), (5, 7), (13, 15), (5, 15))
+            BandDefinition((12, 8), 3, (5, 15))
         with pytest.raises(ValueError, match="cover"):  # misses the upper band
-            BandDefinition((8, 12), (5, 7), (13, 15), (5, 14))
+            BandDefinition((8, 12), 3, (5, 14))
         with pytest.raises(ValueError, match="adjacent_width"):
-            BandDefinition.around((8, 12), 0)
+            BandDefinition((8, 12), 0)
+        # rejected, not truncated to (8, 12)
+        with pytest.raises(ValueError, match="in_band bounds must be integers"):
+            BandDefinition((8.5, 12.9), 4)
+        with pytest.raises(ValueError, match="^adjacent_width must be an integer"):
+            BandDefinition((8, 12), 2.5)
 
 
 class TestBandFilter:
     def test_third_order_output_keeps_near_band(self):
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.third_order(0.1))
-        kept = band_filter(y, BandDefinition.around((8, 12), 3))  # keep [5, 15]
+        kept = band_filter(y, BandDefinition((8, 12), 3))  # keep [5, 15]
         assert kept.indices() == (7, 9, 11, 13)
 
     def test_empty_input(self):
@@ -222,7 +223,7 @@ class TestBandFilter:
 
     def test_full_window_is_identity(self):
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.third_order(0.1))
-        band = BandDefinition.around((8, 12), 4, keep_window=(0, 64))
+        band = BandDefinition((8, 12), 4, keep_window=(0, 64))
         assert band_filter(y, band) == y
 
 
