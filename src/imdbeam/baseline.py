@@ -20,6 +20,7 @@ trial chunks, in chunk order, and sweeps its lag sums by one chirp-z.
 
 from dataclasses import dataclass
 from functools import cache
+import math
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .array import (
     _sweep_grid,
 )
 from .errors import GridMismatchError
-from .spectra import TWO_PI, _line_factor
+from .spectra import TWO_PI, _is_whole, _line_factor
 
 # Trials per covariance chunk: caps a chunk's draws at TRIAL_CHUNK x M and
 # fixes the order of the sum.
@@ -57,16 +58,16 @@ class NoiseModelConfig:
     seed: int
 
     def __post_init__(self):
+        if not all(_is_whole(k) and k >= 1 for k in self.distortion_line_indices):
+            raise ValueError("distortion_line_indices must be positive integers")
         indices = tuple(int(k) for k in self.distortion_line_indices)
         object.__setattr__(self, "distortion_line_indices", indices)
-        if any(k < 1 for k in indices):
-            raise ValueError("distortion line indices must be positive")
-        if self.per_antenna_line_power < 0:
-            raise ValueError("per_antenna_line_power must be >= 0")
-        if int(self.trials) != self.trials or self.trials < 1:
+        if not 0 <= self.per_antenna_line_power < math.inf:
+            raise ValueError("per_antenna_line_power must be finite and >= 0")
+        if not _is_whole(self.trials) or self.trials < 1:
             raise ValueError("trials must be a positive integer")
-        if not _I64_MIN <= self.seed <= _I64_MAX:
-            raise ValueError("seed must fit in 64 bits")
+        if not (_is_whole(self.seed) and _I64_MIN <= self.seed <= _I64_MAX):
+            raise ValueError("seed must be an integer that fits in 64 bits")
 
     def magnitude(self, line):
         """Magnitude of a noise coefficient of power ``per_antenna_line_power``."""

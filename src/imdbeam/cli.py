@@ -58,9 +58,9 @@ from .nonlinearity import (
 )
 from .spectra import FrequencyGrid
 
-# Largest sweep work a run may ask for: a weakly radiated line is summed delay
-# by delay, antennas x sweep points complex products.  With a baseline it also
-# caps the antennas x antennas covariance; 2**24 complex elements take 256 MiB.
+# Largest antennas x sweep points a run may ask for.  M * N <= 2**24 implies
+# M + N - 1 <= 2**24, so a sweep's FFTs are at most 2**24 long.  With a baseline
+# it also caps the antennas x antennas covariance; 2**24 complex elements take 256 MiB.
 MAX_SWEEP_ELEMENTS = 2**24
 
 

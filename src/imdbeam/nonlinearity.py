@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridRangeError
-from .spectra import ArraySignal, _signed, _superpose
+from .spectra import ArraySignal, _is_whole, _signed, _superpose
 
 MAX_DEGREE = 9
 
@@ -71,12 +71,11 @@ class PolynomialNonlinearity:
 
 def _index_pair(name: str, interval) -> Interval:
     lo, hi = interval
-    iv = (int(lo), int(hi))
-    if iv != (lo, hi):
+    if not (_is_whole(lo) and _is_whole(hi)):
         raise ValueError(f"{name} bounds must be integers")
-    if iv[0] < 0 or iv[0] > iv[1]:
+    if lo < 0 or lo > hi:
         raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
-    return iv
+    return int(lo), int(hi)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class BandDefinition:
 
     def __post_init__(self):
         w = self.adjacent_width
-        if int(w) != w or w < 1:
+        if not _is_whole(w) or w < 1:
             raise ValueError("adjacent_width must be an integer >= 1")
         lo, hi = _index_pair("in_band", self.in_band)
         if lo - w < 0:

@@ -14,6 +14,8 @@ phasor algebra.
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+import math
+import numbers
 
 import numpy as np
 
@@ -41,9 +43,9 @@ class FrequencyGrid:
     max_index: int
 
     def __post_init__(self):
-        if not self.base_rate > 0.0:
-            raise ValueError("base_rate must be positive")
-        if int(self.max_index) != self.max_index or self.max_index < 1:
+        if not 0.0 < self.base_rate < math.inf:
+            raise ValueError("base_rate must be positive and finite")
+        if not _is_whole(self.max_index) or self.max_index < 1:
             raise ValueError("max_index must be a positive integer")
 
     def omega(self, index: int) -> float:
@@ -53,6 +55,17 @@ class FrequencyGrid:
     @property
     def fundamental_period(self) -> float:
         return TWO_PI / self.base_rate
+
+
+def _is_whole(value) -> bool:
+    """True for a finite real number without a fractional part; a bool, a
+    NaN or an infinity is not one, so a record check can name its field."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value == int(value)
+    )
 
 
 def _mag2(z: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ key layout of ``report.json``."""
 import contextlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import imdbeam
+from imdbeam import ArrayGeometry, BandDefinition, FrequencyGrid, NoiseModelConfig
 from imdbeam.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -157,6 +160,43 @@ def layout(doc):
 def test_public_names():
     assert imdbeam.__all__ == PUBLIC_NAMES
     assert all(hasattr(imdbeam, name) for name in PUBLIC_NAMES)
+
+
+# library records built with a field that is not a whole or not a finite
+# number: a bool, NaN or infinity where an integer belongs, or a non-finite float
+BAD_FIELDS = [
+    (BandDefinition, ((8, math.inf), 4), "in_band"),
+    (BandDefinition, ((True, 12), 1), "in_band"),
+    (BandDefinition, ((8, 12), 4, (0, math.inf)), "keep_window"),
+    (BandDefinition, ((8, 12), math.nan), "adjacent_width"),
+    (BandDefinition, ((8, 12), math.inf), "adjacent_width"),
+    (BandDefinition, ((8, 12), True), "adjacent_width"),
+    (ArrayGeometry, (math.inf, 0.5), "num_antennas"),
+    (ArrayGeometry, (math.nan, 0.5), "num_antennas"),
+    (ArrayGeometry, (True, 0.5), "num_antennas"),
+    (ArrayGeometry, (4, math.inf), "element_delay"),
+    (ArrayGeometry, (4, math.nan), "element_delay"),
+    (FrequencyGrid, (1.0, math.inf), "max_index"),
+    (FrequencyGrid, (1.0, True), "max_index"),
+    (FrequencyGrid, (math.inf, 10), "base_rate"),
+    (FrequencyGrid, (math.nan, 10), "base_rate"),
+    (NoiseModelConfig, ((math.inf,), 1.0, 10, 0), "distortion_line_indices"),
+    (NoiseModelConfig, ((7.5,), 1.0, 10, 0), "distortion_line_indices"),
+    (NoiseModelConfig, ((7,), math.nan, 10, 0), "per_antenna_line_power"),
+    (NoiseModelConfig, ((7,), math.inf, 10, 0), "per_antenna_line_power"),
+    (NoiseModelConfig, ((7,), 1.0, math.inf, 0), "trials"),
+    (NoiseModelConfig, ((7,), 1.0, True, 0), "trials"),
+    (NoiseModelConfig, ((7,), 1.0, 10, math.nan), "seed"),
+    (NoiseModelConfig, ((7,), 1.0, 10, 0.5), "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, args, field", BAD_FIELDS, ids=[f"{r.__name__}{a}" for r, a, _ in BAD_FIELDS]
+)
+def test_record_rejects_a_bad_field_by_name(record, args, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        record(*args)
 
 
 def test_report_key_layout_of_readme_config(tmp_path):
