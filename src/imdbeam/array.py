@@ -15,7 +15,7 @@ element_delay) * lf(k) * (sum_m |c_m|)**2`` of the exact power at its delay
 (float64 ``eps``, line power factor ``lf``), for a weak line as for a strong.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Mapping
 import math
 
@@ -77,35 +77,40 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class SteeringAssignment:
-    """Per-antenna, per-tone phases realizing direction targets.
+    """What the array is asked to radiate: tone ``tone_indices[j]``
+    (positive, increasing) with amplitude ``amplitudes[j]`` and phase
+    ``base_phases[j]`` on antenna 0, steered at delay ``targets[j]``.
 
-    Antenna 0 is the phase reference; ``phases[m][j]`` is the phase of tone
-    ``tone_indices[j]`` (positive, increasing) on antenna ``m``, reduced mod
-    2*pi; every number is finite.  ``targets`` holds the steering delay per
-    tone when the assignment was produced by :func:`steer_tones`;
-    :func:`distortion_delays` needs them, since the reduced phases do not
-    determine a direction.
+    ``phases`` is derived here, never given: ``phases[m][j]``, the phase of
+    tone ``j`` on antenna ``m``, is ``base + m * (k*base_rate) * tau_k``
+    reduced mod 2*pi.  Every number is finite.  The reduced phases do not
+    determine a direction, so :func:`distortion_delays` reads ``targets``.
     """
 
     grid: FrequencyGrid
     geometry: ArrayGeometry
     tone_indices: tuple[int, ...]
     amplitudes: tuple[float, ...]
-    phases: tuple[tuple[float, ...], ...]
-    targets: tuple[float, ...] | None = None
+    base_phases: tuple[float, ...]
+    targets: tuple[float, ...]
+    phases: tuple[tuple[float, ...], ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.phases) != self.geometry.num_antennas:
-            raise ValueError("phases must have one row per antenna")
-        k = len(self.tone_indices)
-        if len(self.amplitudes) != k or any(len(row) != k for row in self.phases):
-            raise ValueError("amplitudes and phase rows must match tone_indices")
-        if self.targets is not None and len(self.targets) != k:
-            raise ValueError("targets must match tone_indices")
+        for name in ("amplitudes", "base_phases", "targets"):
+            if len(getattr(self, name)) != len(self.tone_indices):
+                raise ValueError(f"{name} must match tone_indices")
+        if not all(map(_is_whole, self.tone_indices)):
+            raise ValueError("tone indices must be whole numbers")
         if not all(a < b for a, b in zip((0, *self.tone_indices), self.tone_indices)):
             raise ValueError("tone indices must be positive and strictly increasing")
-        for name in ("phases", "amplitudes", "targets"):
-            if not np.isfinite(getattr(self, name) or ()).all():
+        omegas = np.array([self.grid.omega(k) for k in self.tone_indices])
+        m = np.arange(self.geometry.num_antennas)[:, None]
+        # a non-finite phase is reported below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = (np.array(self.base_phases) + m * omegas * np.array(self.targets)) % TWO_PI
+        object.__setattr__(self, "phases", tuple(map(tuple, table.tolist())))
+        for name in ("amplitudes", "base_phases", "targets", "phases"):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
 
     def input_signal(self) -> ArraySignal:
@@ -126,28 +131,25 @@ def steer_tones(
     base_phases: Mapping[int, float] | None = None,
     amplitudes: Mapping[int, float] | None = None,
 ) -> SteeringAssignment:
-    """Phase assignment pointing each tone at its target delay.
-
-    Tone ``k`` on antenna ``m`` gets ``base + m * (k*base_rate) * tau_k``,
-    reduced mod 2*pi; single-user steering is the special case of all
-    targets equal.
+    """Assignment pointing each tone ``k`` of ``targets`` at its delay
+    ``targets[k]``, in tone order; a tone absent from ``base_phases`` starts
+    at phase 0, one absent from ``amplitudes`` has amplitude 1.  Single-user
+    steering is the special case of all targets equal.
     """
     for k in targets:
-        if not 1 <= k <= grid.max_index or int(k) != k:
+        if not _is_whole(k) or not 1 <= k <= grid.max_index:
             raise GridRangeError(f"tone index {k} is not on the grid")
     tone_indices = tuple(sorted(int(k) for k in targets))
     base_phases = dict(base_phases or {})
     amplitudes = dict(amplitudes or {})
-    base = np.array([float(base_phases.get(k, 0.0)) for k in tone_indices])
-    amps = tuple(float(amplitudes.get(k, 1.0)) for k in tone_indices)
-    taus = tuple(float(targets[k]) for k in tone_indices)
-    omegas = np.array([grid.omega(k) for k in tone_indices])
-    m = np.arange(geometry.num_antennas)[:, None]
-    # a non-finite phase is reported by SteeringAssignment, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = (base + m * omegas * np.array(taus)) % TWO_PI
-    phases = tuple(map(tuple, table.tolist()))
-    return SteeringAssignment(grid, geometry, tone_indices, amps, phases, taus)
+    return SteeringAssignment(
+        grid,
+        geometry,
+        tone_indices,
+        tuple(float(amplitudes.get(k, 1.0)) for k in tone_indices),
+        tuple(float(base_phases.get(k, 0.0)) for k in tone_indices),
+        tuple(float(targets[k]) for k in tone_indices),
+    )
 
 
 def transmit(
@@ -313,15 +315,12 @@ def distortion_delays(assignment: SteeringAssignment) -> DistortionDirections:
     line ``n . k`` combines at ``tau_n = sum_j n_j k_j t_j / (n . k)`` for the
     steering delays ``t_j``, modulo ``2*pi / (|n . k| * base_rate)``; the
     products are ``n = (-1, 2)`` and ``(-2, 1)``, and equal targets make both
-    collapse to the common steering delay.  The assignment must carry its
-    ``targets``.
+    collapse to the common steering delay.
     """
     if assignment.geometry.num_antennas < 2:
         raise ValueError("distortion directions need at least 2 antennas")
     if len(assignment.tone_indices) != 2:
         raise ValueError("distortion directions need exactly two tones")
-    if assignment.targets is None:
-        raise ValueError("distortion directions need the assignment's steering targets")
     (k1, k2), (t1, t2) = assignment.tone_indices, assignment.targets
     if k2 == 2 * k1:
         raise DegenerateFrequencyPlanError(

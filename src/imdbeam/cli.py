@@ -324,8 +324,8 @@ def _validate(doc) -> ScenarioConfig:
     if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
             "sweep_points",
-            f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}: a sweep may sum "
-            f"{num_antennas} x sweep_points complex products",
+            f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}, so that a sweep's FFT "
+            f"length {num_antennas} + sweep_points - 1 stays within 2**24",
         )
     if baseline is not None and num_antennas**2 > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
@@ -591,7 +591,7 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             "version": __version__,
             "seed": cfg.seed,
         },
-        "steering": _fields(bundle.assignment, "grid", "geometry"),
+        "steering": _fields(bundle.assignment, "grid", "geometry", "phases"),
         "distortion_directions": bundle.distortion,
         "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
         # line indices as strings: sort_keys would order int keys by number

@@ -153,8 +153,11 @@ class ArraySignal:
         return signal
 
     def _store(self, grid, support, phasors):
+        lines = np.asarray(support)
+        if lines.dtype.kind not in "iu" and not all(map(_is_whole, lines.tolist())):
+            raise GridRangeError("line indices must be whole numbers")
         try:
-            lines = np.asarray(support, dtype=np.int64)
+            lines = lines.astype(np.int64, copy=False)
             in_range = not lines.size or 0 <= lines.min() <= lines.max() <= grid.max_index
         except OverflowError:  # an index beyond 64 bits
             in_range = False

@@ -78,6 +78,11 @@ class TestArrayGeometry:
         assert not geo.grating_lobe_free(GRID.omega(14))
 
 
+# base phases and steering delays of random tone plans
+PHASE = st.floats(-np.pi, np.pi)
+TAU = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e12, 1e12))
+
+
 class TestSteerTones:
     def test_single_antenna_keeps_base_phases(self):
         a = steer_tones(
@@ -113,14 +118,7 @@ class TestSteerTones:
     @given(
         st.floats(1e-3, 1e3),
         st.integers(1, 64),
-        st.lists(
-            st.tuples(
-                st.floats(-np.pi, np.pi),
-                st.one_of(st.floats(-1.0, 1.0), st.floats(-1e12, 1e12)),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
+        st.lists(st.tuples(PHASE, TAU), min_size=1, max_size=4),
     )
     def test_phase_table_is_the_scalar_formula(self, base_rate, m_count, tones):
         grid = FrequencyGrid(base_rate, 64)
@@ -137,6 +135,39 @@ class TestSteerTones:
         assert a.phases == expected  # bit for bit
         assert all(type(p) is float for row in a.phases for p in row)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(1e-3, 1e3),
+        st.integers(1, 64),
+        st.lists(st.tuples(PHASE, TAU, PHASE, TAU), min_size=1, max_size=4),
+    )
+    def test_steering_record_derives_the_phase_table(self, base_rate, m_count, tones):
+        grid = FrequencyGrid(base_rate, 64)
+        geometry = ArrayGeometry(m_count, 0.5)
+        k = tuple(range(7, 7 + len(tones)))
+        base, taus, new_base, new_taus = (tuple(t[i] for t in tones) for i in range(4))
+        a = SteeringAssignment(grid, geometry, k, (1.0,) * len(k), base, taus)
+        b = steer_tones(grid, geometry, dict(zip(k, taus)), base_phases=dict(zip(k, base)))
+        assert repr(a) == repr(b)  # bit for bit: repr tells -0.0 from 0.0
+        for changed in (
+            dataclasses.replace(a, targets=new_taus),
+            dataclasses.replace(a, base_phases=new_base),
+        ):
+            expected = tuple(
+                tuple(
+                    (changed.base_phases[j] + m * grid.omega(kj) * changed.targets[j])
+                    % (2 * np.pi)
+                    for j, kj in enumerate(k)
+                )
+                for m in range(m_count)
+            )
+            assert changed.phases == expected  # bit for bit
+
+    def test_phases_are_derived_not_given(self):
+        a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2})
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(a, phases=a.phases)
+
     def test_non_finite_phase_rejected_without_warning(self):
         with pytest.raises(ValueError, match="phases must be finite"):
             steer_tones(GRID, GEO_MU, {9: 1e308, 11: 0.1})
@@ -144,23 +175,27 @@ class TestSteerTones:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            (lambda a: {"phases": a.phases[:1]}, "one row per antenna"),
-            (lambda a: {"phases": (a.phases[0], a.phases[1][:1])}, "phase rows"),
+            (lambda a: {"base_phases": a.base_phases[:1]}, "base_phases must match"),
             (lambda a: {"targets": a.targets[:1]}, "targets"),
             (lambda a: {"tone_indices": (0, 11)}, "positive"),
             (lambda a: {"tone_indices": (11, 9)}, "strictly increasing"),
+            (lambda a: {"tone_indices": (9.5, 11)}, "whole numbers"),
+            (lambda a: {"tone_indices": (True, 11)}, "whole numbers"),
             (lambda a: {"amplitudes": (np.nan, 1.0)}, "amplitudes must be finite"),
             (lambda a: {"amplitudes": (1.0, np.inf)}, "amplitudes must be finite"),
+            (lambda a: {"base_phases": (0.0, np.inf)}, "base_phases must be finite"),
             (lambda a: {"targets": (np.nan, TAU2)}, "targets must be finite"),
         ],
         ids=[
-            "missing-row",
-            "short-row",
+            "base-phases-length",
             "targets-length",
             "tone-index-0",
             "tone-order",
+            "fractional-tone-index",
+            "bool-tone-index",
             "nan-amplitude",
             "inf-amplitude",
+            "inf-base-phase",
             "nan-target",
         ],
     )
@@ -173,6 +208,8 @@ class TestSteerTones:
         # the index is checked as given, not truncated to a tone the targets lack
         with pytest.raises(GridRangeError, match="tone index 9.5"):
             steer_tones(GRID, GEO_MU, {9.5: 0.1, 11: 0.2})
+        with pytest.raises(GridRangeError, match="tone index True"):
+            steer_tones(GRID, GEO_MU, {True: 0.1, 11: 0.2})
 
     def test_antenna_input(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2}, amplitudes={9: 2.0, 11: 0.5})
@@ -453,14 +490,15 @@ class TestDistortionDelays:
             assert abs(dd.upper.tau - tau) > 1e-6
             assert abs(dd.lower.tau - tau) > 1e-6
 
-    def test_no_phase_fallback_without_targets(self):
-        # reduced phases fix no direction; only the steering delays do
-        a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
-        bare = SteeringAssignment(
-            GRID, GEO_SU, a.tone_indices, a.amplitudes, a.phases, targets=None
-        )
-        with pytest.raises(ValueError, match="targets"):
-            distortion_delays(bare)
+    def test_replaced_targets_steer_what_is_transmitted(self):
+        # the phases follow the targets, so the signal's products combine
+        # with gain M where distortion_delays says
+        a = dataclasses.replace(steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2}), targets=(0.1, 0.3))
+        signal = transmit(a, CUBIC, BAND)
+        dd = distortion_delays(a)
+        for product in (dd.upper, dd.lower):
+            gain = array_gain(signal, product.line_index, product.tau)
+            assert gain == pytest.approx(2.0, rel=1e-12)
 
     def test_degenerate_plan_rejected(self):
         a = steer_tones(GRID, GEO_MU, {5: 0.1, 10: 0.2})

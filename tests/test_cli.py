@@ -253,6 +253,10 @@ class TestParseConfig:
             with pytest.raises(ConfigError) as err:
                 parse(doc)
             assert err.value.field == field
+        # the reason is the length of the sweep's FFTs
+        fft = r"at most 16384, so that a sweep's FFT length 1024 \+ sweep_points - 1 stays"
+        with pytest.raises(ConfigError, match=fft):
+            parse(dict(wide, sweep_points=2**14 + 1))
 
     def test_round_trip(self):
         for doc in (

@@ -140,7 +140,7 @@ REPORT_LAYOUT = {
     "provenance": {"config_sha256": None, "seed": None, "version": None},
     "steering": {
         "amplitudes": [None],
-        "phases": [[None]],
+        "base_phases": [None],
         "targets": [None],
         "tone_indices": [None],
     },

@@ -153,6 +153,27 @@ class TestConstruction:
         with pytest.raises(GridRangeError):
             LineSpectrum.from_real_tones(GRID, [(9, 1.0, 0.0), (-1, 1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LineSpectrum(GRID, {9.5: 1.0}),
+            lambda: LineSpectrum.from_real_tones(GRID, [(9.5, 1.0, 0.0)]),
+            lambda: LineSpectrum.from_phasors(GRID, [9.7], [[1.0]]),
+            lambda: LineSpectrum.from_phasors(GRID, [True], [[1.0]]),
+            lambda: LineSpectrum.from_phasors(GRID, [np.nan], [[1.0]]),
+            lambda: LineSpectrum.from_phasors(GRID, np.array([9.0, 11.5]), [[1.0, 1.0]]),
+        ],
+        ids=["mapping", "real-tones", "phasors", "bool", "nan", "float-array"],
+    )
+    def test_non_whole_line_index_rejected(self, build):
+        # the index is checked as given, not truncated to a line it does not name
+        with pytest.raises(GridRangeError, match="whole numbers"):
+            build()
+
+    def test_whole_float_line_index_kept(self):
+        s = LineSpectrum.from_phasors(GRID, [9.0, 11.0], [[1.0, 2.0]])
+        assert s.support.tolist() == [9, 11] and s.support.dtype == np.int64
+
 
 class TestPower:
     def test_line_power_convention(self):
