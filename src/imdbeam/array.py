@@ -77,8 +77,8 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class SteeringAssignment:
-    """What the array is asked to radiate: tone ``tone_indices[j]``
-    (positive, increasing) with amplitude ``amplitudes[j]`` and phase
+    """What the array is asked to radiate: tone ``tone_indices[j]`` (a
+    line of ``grid``, increasing) with amplitude ``amplitudes[j]`` and phase
     ``base_phases[j]`` on antenna 0, steered at delay ``targets[j]``.
 
     ``phases`` is derived here, never given: ``phases[m][j]``, the phase of
@@ -99,10 +99,15 @@ class SteeringAssignment:
         for name in ("amplitudes", "base_phases", "targets"):
             if len(getattr(self, name)) != len(self.tone_indices):
                 raise ValueError(f"{name} must match tone_indices")
-        if not all(map(_is_whole, self.tone_indices)):
-            raise ValueError("tone indices must be whole numbers")
-        if not all(a < b for a, b in zip((0, *self.tone_indices), self.tone_indices)):
-            raise ValueError("tone indices must be positive and strictly increasing")
+        for k in self.tone_indices:
+            if not _is_whole(k) or not 1 <= k <= self.grid.max_index:
+                raise GridRangeError(
+                    f"tone index {k} is not on the grid: tone indices must be "
+                    f"positive whole numbers up to max_index {self.grid.max_index}"
+                )
+        object.__setattr__(self, "tone_indices", tuple(map(int, self.tone_indices)))
+        if not all(a < b for a, b in zip(self.tone_indices, self.tone_indices[1:])):
+            raise ValueError("tone indices must be strictly increasing")
         omegas = np.array([self.grid.omega(k) for k in self.tone_indices])
         m = np.arange(self.geometry.num_antennas)[:, None]
         # a non-finite phase is reported below, not as a warning
@@ -134,12 +139,10 @@ def steer_tones(
     """Assignment pointing each tone ``k`` of ``targets`` at its delay
     ``targets[k]``, in tone order; a tone absent from ``base_phases`` starts
     at phase 0, one absent from ``amplitudes`` has amplitude 1.  Single-user
-    steering is the special case of all targets equal.
+    steering is the special case of all targets equal.  The record checks
+    the tones: one off the grid raises :class:`GridRangeError`.
     """
-    for k in targets:
-        if not _is_whole(k) or not 1 <= k <= grid.max_index:
-            raise GridRangeError(f"tone index {k} is not on the grid")
-    tone_indices = tuple(sorted(int(k) for k in targets))
+    tone_indices = tuple(sorted(targets))
     base_phases = dict(base_phases or {})
     amplitudes = dict(amplitudes or {})
     return SteeringAssignment(

@@ -34,15 +34,13 @@ from .array import (
     _sweep_grid,
 )
 from .errors import GridMismatchError
-from .spectra import TWO_PI, _is_whole, _line_factor
+from .spectra import TWO_PI, _I64_MAX, _I64_MIN, _is_whole, _line_factor
 
 # Trials per covariance chunk: caps a chunk's draws at TRIAL_CHUNK x M and
 # fixes the order of the sum.
 TRIAL_CHUNK = 1024
 
 DIRECTIVE_CONTRAST = 1.5
-
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 PHASE_BITS = 16
 PHASE_STEP = TWO_PI * 2.0**-PHASE_BITS

@@ -31,7 +31,6 @@ from . import __version__
 from .array import (
     DEFAULT_SWEEP_POINTS,
     ArrayGeometry,
-    ArraySignal,
     DistortionDirections,
     Pattern,
     SteeringAssignment,
@@ -42,8 +41,6 @@ from .array import (
     transmit,
 )
 from .baseline import (
-    _I64_MAX,
-    _I64_MIN,
     ModelContrast,
     matched_noise_config,
     mean_pattern,
@@ -56,7 +53,7 @@ from .nonlinearity import (
     PolynomialNonlinearity,
     two_tone_third_order_terms,
 )
-from .spectra import FrequencyGrid
+from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid
 
 # Largest antennas x sweep points a run may ask for.  M * N <= 2**24 implies
 # M + N - 1 <= 2**24, so a sweep's FFTs are at most 2**24 long.  With a baseline
@@ -70,13 +67,6 @@ MAX_SWEEP_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True)
-class ToneSpec:
-    index: int
-    amplitude: float
-    phase: float
-
-
-@dataclass(frozen=True)
 class BaselineSettings:
     trials: int
     line_indices: tuple[int, ...] | None = None
@@ -84,10 +74,7 @@ class BaselineSettings:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    grid: FrequencyGrid
-    tones: tuple[ToneSpec, ...]
-    targets: tuple[float, ...]  # aligned with tones
-    geometry: ArrayGeometry
+    steering: SteeringAssignment  # grid, geometry, tones and targets
     device: PolynomialNonlinearity
     band: BandDefinition
     sweep_points: int = DEFAULT_SWEEP_POINTS
@@ -136,11 +123,16 @@ def _as_object(v, field: str, allowed: set[str]) -> dict:
 def _as_interval(v, field: str) -> tuple[int, int]:
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError(field, "must be a two-element [lo, hi] array")
-    lo = _as_int(v[0], f"{field}[0]", minimum=0)
-    hi = _as_int(v[1], f"{field}[1]", minimum=0)
-    if lo > hi:
-        raise ConfigError(field, "must satisfy lo <= hi")
-    return lo, hi
+    return _as_int(v[0], f"{field}[0]"), _as_int(v[1], f"{field}[1]")
+
+
+def _record(section: str, build, *args):
+    """``build(*args)``, a record whose every error message starts with the
+    field it rejects; a rejection becomes the ConfigError of that field."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ConfigError(f"{section}.{str(e).split()[0]}", str(e)) from None
 
 
 def _decode(text: str):
@@ -192,31 +184,32 @@ def _validate(doc) -> ScenarioConfig:
             raise ConfigError(required, "missing required section")
 
     grid_doc = _as_object(top["grid"], "grid", {"base_rate", "max_index"})
-    base_rate = _as_number(grid_doc.get("base_rate"), "grid.base_rate")
-    if not base_rate > 0:
-        raise ConfigError("grid.base_rate", "must be positive")
-    max_index = _as_int(grid_doc.get("max_index"), "grid.max_index", minimum=1)
-    grid = FrequencyGrid(base_rate, max_index)
+    grid = _record(
+        "grid",
+        FrequencyGrid,
+        _as_number(grid_doc.get("base_rate"), "grid.base_rate"),
+        _as_int(grid_doc.get("max_index"), "grid.max_index"),
+    )
+    max_index = grid.max_index
 
     tones_doc = top["tones"]
     if not isinstance(tones_doc, list) or len(tones_doc) != 2:
         raise ConfigError("tones", "exactly two tones are required")
-    tones = []
+    amplitudes: dict[int, float] = {}
+    base_phases: dict[int, float] = {}
     for i, entry in enumerate(tones_doc):
         field = f"tones[{i}]"
         obj = _as_object(entry, field, {"index", "amplitude", "phase"})
         index = _as_int(obj.get("index"), f"{field}.index", minimum=1)
         if index > max_index:
             raise ConfigError(f"{field}.index", f"exceeds grid.max_index {max_index}")
-        amplitude = _as_number(obj.get("amplitude", 1.0), f"{field}.amplitude")
-        if not amplitude > 0:
+        amplitudes[index] = _as_number(obj.get("amplitude", 1.0), f"{field}.amplitude")
+        if not amplitudes[index] > 0:
             raise ConfigError(f"{field}.amplitude", "must be positive")
-        phase = _as_number(obj.get("phase", 0.0), f"{field}.phase")
-        tones.append(ToneSpec(index, amplitude, phase))
-    tones.sort(key=lambda t: t.index)
-    k1, k2 = tones[0].index, tones[1].index
-    if k1 == k2:
+        base_phases[index] = _as_number(obj.get("phase", 0.0), f"{field}.phase")
+    if len(amplitudes) != 2:
         raise ConfigError("tones", "tone indices must be distinct")
+    k1, k2 = sorted(amplitudes)
     if k2 == 2 * k1:
         raise ConfigError(
             "tones",
@@ -227,21 +220,23 @@ def _validate(doc) -> ScenarioConfig:
     geo_doc = _as_object(top["geometry"], "geometry", {"num_antennas", "element_delay"})
     # the scenario pipeline always derives distortion directions, so a
     # single-antenna geometry would violate that operation's precondition
-    num_antennas = _as_int(geo_doc.get("num_antennas"), "geometry.num_antennas", minimum=2)
-    element_delay = _as_number(geo_doc.get("element_delay"), "geometry.element_delay")
-    if not element_delay > 0:
-        raise ConfigError("geometry.element_delay", "must be positive")
-    geometry = ArrayGeometry(num_antennas, element_delay)
+    geometry = _record(
+        "geometry",
+        ArrayGeometry,
+        _as_int(geo_doc.get("num_antennas"), "geometry.num_antennas", minimum=2),
+        _as_number(geo_doc.get("element_delay"), "geometry.element_delay"),
+    )
+    num_antennas, element_delay = geometry.num_antennas, geometry.element_delay
 
     targets_doc = top["targets"]
     if not isinstance(targets_doc, list):
         raise ConfigError("targets", "must be an array of {index, tau} objects")
-    tau_by_index: dict[int, float] = {}
+    targets: dict[int, float] = {}
     for i, entry in enumerate(targets_doc):
         field = f"targets[{i}]"
         obj = _as_object(entry, field, {"index", "tau"})
         index = _as_int(obj.get("index"), f"{field}.index", minimum=1)
-        if index in tau_by_index:
+        if index in targets:
             raise ConfigError(f"{field}.index", "duplicate target for this tone")
         tau = _as_number(obj.get("tau"), f"{field}.tau")
         if abs(tau) > element_delay:
@@ -249,10 +244,9 @@ def _validate(doc) -> ScenarioConfig:
                 f"{field}.tau",
                 f"|tau| must not exceed geometry.element_delay {element_delay:g}",
             )
-        tau_by_index[index] = tau
-    if sorted(tau_by_index) != [k1, k2]:
+        targets[index] = tau
+    if sorted(targets) != [k1, k2]:
         raise ConfigError("targets", "must cover exactly the configured tone indices")
-    targets = (tau_by_index[k1], tau_by_index[k2])
 
     nl_doc = _as_object(top["nonlinearity"], "nonlinearity", {"coefficients"})
     coeffs_doc = nl_doc.get("coefficients")
@@ -262,10 +256,7 @@ def _validate(doc) -> ScenarioConfig:
         _as_number(a, f"nonlinearity.coefficients[{i}]")
         for i, a in enumerate(coeffs_doc)
     )
-    try:
-        device = PolynomialNonlinearity(coeffs)
-    except ValueError as e:
-        raise ConfigError("nonlinearity.coefficients", str(e)) from None
+    device = _record("nonlinearity", PolynomialNonlinearity, coeffs)
     if device.degree * k2 > max_index:
         raise ConfigError(
             "grid.max_index",
@@ -274,22 +265,20 @@ def _validate(doc) -> ScenarioConfig:
         )
 
     band_doc = _as_object(top["band"], "band", {"in_band", "adjacent_width", "keep_window"})
-    in_band = _as_interval(band_doc.get("in_band"), "band.in_band")
-    width = _as_int(band_doc.get("adjacent_width"), "band.adjacent_width", minimum=1)
     keep = band_doc.get("keep_window")
-    if keep is not None:
-        keep = _as_interval(keep, "band.keep_window")
-    try:
-        band = BandDefinition(in_band, width, keep)
-    except ValueError as e:
-        # each BandDefinition message starts with the field it rejects
-        raise ConfigError(f"band.{str(e).split()[0]}", str(e)) from None
+    band = _record(
+        "band",
+        BandDefinition,
+        _as_interval(band_doc.get("in_band"), "band.in_band"),
+        _as_int(band_doc.get("adjacent_width"), "band.adjacent_width"),
+        None if keep is None else _as_interval(keep, "band.keep_window"),
+    )
     if band.keep_window[1] > max_index:
         raise ConfigError("band.keep_window", f"exceeds grid.max_index {max_index}")
-    for t in tones:
-        if not band.in_band[0] <= t.index <= band.in_band[1]:
+    for k in (k1, k2):
+        if not band.in_band[0] <= k <= band.in_band[1]:
             raise ConfigError(
-                "band.in_band", f"tone index {t.index} is outside the in-band interval"
+                "band.in_band", f"tone index {k} is outside the in-band interval"
             )
 
     sweep_points = _as_int(
@@ -339,16 +328,17 @@ def _validate(doc) -> ScenarioConfig:
     # run sums such powers over keep-window lines and baseline trials.  It
     # also forms the angular frequency of every kept and baseline line, and the
     # chirp of a sweep (_chirp_z) has phases below
-    # omega * element_delay * max(M, N)**2 / (N - 1).  A huge integer raises
+    # omega * element_delay * max(M, N)**2 / (N - 1), which exceeds every
+    # steering phase m * omega * tau of a tone.  A huge integer raises
     # OverflowError, which leaves the values not yet formed infinite.
-    amplitude_sum = tones[0].amplitude + tones[1].amplitude
+    amplitude_sum = amplitudes[k1] + amplitudes[k2]
     top_line = max((band.keep_window[1], *((baseline.line_indices or ()) if baseline else ())))
     bound = top_omega = sweep_phase = math.inf
     try:
         peak = sum(abs(a) * amplitude_sum**p for p, a in enumerate(coeffs, start=1))
         trials = baseline.trials if baseline is not None else 1
         bound = 8.0 * (num_antennas * peak) ** 2 * (band.keep_window[1] + 1) * trials
-        top_omega = base_rate * top_line
+        top_omega = grid.base_rate * top_line
         chirp_span = max(num_antennas, sweep_points) ** 2 / (sweep_points - 1)
         sweep_phase = top_omega * element_delay * chirp_span
     except OverflowError:
@@ -363,38 +353,40 @@ def _validate(doc) -> ScenarioConfig:
         raise ConfigError("grid.base_rate", "the top line's angular frequency would overflow")
     if not math.isfinite(sweep_phase):
         raise ConfigError("geometry.element_delay", "the phases of a pattern sweep would overflow")
+    if not math.isfinite(max(map(abs, base_phases.values())) + sweep_phase):
+        raise ConfigError("tones", "a base phase plus its steering phase would overflow")
 
     output_dir = top.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string")
 
-    return ScenarioConfig(
-        grid=grid,
-        tones=tuple(tones),
-        targets=targets,
-        geometry=geometry,
-        device=device,
-        band=band,
-        sweep_points=sweep_points,
-        seed=seed,
-        baseline=baseline,
-        output_dir=output_dir,
-    )
+    # last, once the guards above keep every phase of the table finite
+    steering = steer_tones(grid, geometry, targets, base_phases, amplitudes)
+    return ScenarioConfig(steering, device, band, sweep_points, seed, baseline, output_dir)
 
 
 def config_to_jsonable(cfg: ScenarioConfig) -> dict:
     """Canonical JSON form; ``parse_config`` of its serialization round-trips
     to an equal config.  Each section is a dataclass whose fields are its
-    keys; the device is stored as ``nonlinearity`` and every target next to
-    its tone index."""
-    doc = dataclasses.asdict(cfg)
-    doc["nonlinearity"] = doc.pop("device")
-    doc["targets"] = [
-        {"index": t.index, "tau": tau} for t, tau in zip(cfg.tones, cfg.targets)
+    keys; the device is stored as ``nonlinearity``, and the steering record
+    as its grid, geometry, tones and every target next to its tone index."""
+    s = cfg.steering
+    sections = {
+        "grid": s.grid,
+        "geometry": s.geometry,
+        "nonlinearity": cfg.device,
+        "band": cfg.band,
+        "baseline": cfg.baseline,
+    }
+    doc = {name: dataclasses.asdict(x) for name, x in sections.items() if x is not None}
+    doc["tones"] = [
+        {"index": k, "amplitude": a, "phase": phase}
+        for k, a, phase in zip(s.tone_indices, s.amplitudes, s.base_phases)
     ]
-    for optional in ("baseline", "output_dir"):
-        if doc[optional] is None:
-            del doc[optional]
+    doc["targets"] = [{"index": k, "tau": tau} for k, tau in zip(s.tone_indices, s.targets)]
+    doc |= {"sweep_points": cfg.sweep_points, "seed": cfg.seed}
+    if cfg.output_dir is not None:
+        doc["output_dir"] = cfg.output_dir
     return doc
 
 
@@ -420,7 +412,6 @@ class ReportBundle:
     """Everything a scenario run produced, ready for serialization."""
 
     config: ScenarioConfig
-    assignment: SteeringAssignment
     distortion: DistortionDirections
     ports: list[MetricsReport]
     directions: list[DirectionEntry]
@@ -431,23 +422,13 @@ class ReportBundle:
     notes: list[str]
 
 
-def _scenario_signal(cfg: ScenarioConfig) -> tuple[SteeringAssignment, ArraySignal]:
-    assignment = steer_tones(
-        cfg.grid,
-        cfg.geometry,
-        {t.index: tau for t, tau in zip(cfg.tones, cfg.targets)},
-        base_phases={t.index: t.phase for t in cfg.tones},
-        amplitudes={t.index: t.amplitude for t in cfg.tones},
-    )
-    return assignment, transmit(assignment, cfg.device, cfg.band)
-
-
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     """Deterministic end-to-end run: transmit, port metrics, distortion
     directions, pattern sweeps, over-the-air metrics at every target and
     distortion direction, and the optional independent-noise comparison."""
     notes: list[str] = []
-    assignment, signal = _scenario_signal(cfg)
+    assignment, geometry = cfg.steering, cfg.steering.geometry
+    signal = transmit(assignment, cfg.device, cfg.band)
     dd = distortion_delays(assignment)
     planned = {p.line_index: p for p in (dd.upper, dd.lower)}
     products = {k: p for k, p in planned.items() if signal.has_line(k)}
@@ -457,12 +438,12 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     patterns: dict[int, Pattern] = {}
     for k in dict.fromkeys((*assignment.tone_indices, *planned, *noise_lines)):
         if signal.has_line(k):
-            patterns[k] = pattern_sweep(signal, k, cfg.geometry, cfg.sweep_points)
+            patterns[k] = pattern_sweep(signal, k, geometry, cfg.sweep_points)
         else:
             notes.append(f"line {k} absent after the transmit chain; sweep skipped")
 
     directions: list[tuple[float, str]] = []
-    delta = cfg.geometry.element_delay
+    delta = geometry.element_delay
 
     def _add_direction(tau: float, kind: str):
         # directions that agree to rounding noise are one physical direction
@@ -472,8 +453,8 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
                 return
         directions.append((tau, kind))
 
-    for t, tau in zip(cfg.tones, cfg.targets):
-        _add_direction(tau, f"target of tone {t.index}")
+    for k, tau in zip(assignment.tone_indices, assignment.targets):
+        _add_direction(tau, f"target of tone {k}")
     for p in products.values():
         try:
             folded = fold_delay(p.tau, p.modulus, delta)
@@ -489,7 +470,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     all_reports = port_vs_ota_report(
         signal, assignment, cfg.band, [tau for tau, _ in directions]
     )
-    m = cfg.geometry.num_antennas
+    m = geometry.num_antennas
     ports = all_reports[:m]
     direction_entries = [
         DirectionEntry(tau, kind, rep)
@@ -509,7 +490,7 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             ncfg = matched_noise_config(signal, noise_lines, cfg.baseline.trials, cfg.seed)
             baseline_line_power = ncfg.per_antenna_line_power
             for k in noise_lines:
-                bp = mean_pattern(ncfg, desired, cfg.geometry, k, cfg.sweep_points)
+                bp = mean_pattern(ncfg, desired, geometry, k, cfg.sweep_points)
                 baseline_patterns.append(bp)
                 if k in patterns:
                     contrasts.append(model_contrast_report(patterns[k], bp))
@@ -520,7 +501,6 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
 
     return ReportBundle(
         config=cfg,
-        assignment=assignment,
         distortion=dd,
         ports=ports,
         directions=direction_entries,
@@ -591,7 +571,7 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             "version": __version__,
             "seed": cfg.seed,
         },
-        "steering": _fields(bundle.assignment, "grid", "geometry", "phases"),
+        "steering": _fields(cfg.steering, "grid", "geometry", "phases"),
         "distortion_directions": bundle.distortion,
         "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
         # line indices as strings: sort_keys would order int keys by number
@@ -702,9 +682,9 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
     if args.line < 0:
         raise ConfigError("line", "must be a non-negative line index")
-    _, signal = _scenario_signal(cfg)
+    signal = transmit(cfg.steering, cfg.device, cfg.band)
     try:
-        pattern = pattern_sweep(signal, args.line, cfg.geometry, cfg.sweep_points)
+        pattern = pattern_sweep(signal, args.line, cfg.steering.geometry, cfg.sweep_points)
     except MissingLineError as e:
         raise ConfigError("line", str(e)) from None
     csv_name = _pattern_csv_name(args.line)

@@ -29,7 +29,8 @@ Interval = tuple[int, int]
 class PolynomialNonlinearity:
     """``f(x) = sum_p coefficients[p-1] * x**p`` with degree 1..9.
 
-    There is no constant term: a quiescent device emits nothing.
+    There is no constant term: a quiescent device emits nothing.  Each
+    error message starts with the field it rejects.
     """
 
     coefficients: tuple[float, ...]
@@ -38,9 +39,9 @@ class PolynomialNonlinearity:
         coeffs = tuple(float(a) for a in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
         if not 1 <= len(coeffs) <= MAX_DEGREE:
-            raise ValueError(f"polynomial degree must be between 1 and {MAX_DEGREE}")
+            raise ValueError(f"coefficients must hold 1 to {MAX_DEGREE} values, one per degree")
         if not any(coeffs):
-            raise ValueError("at least one coefficient must be nonzero")
+            raise ValueError("coefficients must not all be zero")
 
     @property
     def degree(self) -> int:

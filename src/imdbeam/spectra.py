@@ -29,6 +29,8 @@ TWO_PI = 2.0 * np.pi
 # that carry real power.
 PRUNE_THRESHOLD = 1e-14
 
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -47,6 +49,10 @@ class FrequencyGrid:
             raise ValueError("base_rate must be positive and finite")
         if not _is_whole(self.max_index) or self.max_index < 1:
             raise ValueError("max_index must be a positive integer")
+        # line indices are int64; with degree * k_top <= max_index this also
+        # bounds every mixing-order line and its partial sums in transmit
+        if self.max_index > _I64_MAX:
+            raise ValueError("max_index must be at most 2**63 - 1")
 
     def omega(self, index: int) -> float:
         """Angular frequency of line ``index``, rad/s (signed)."""
@@ -58,14 +64,14 @@ class FrequencyGrid:
 
 
 def _is_whole(value) -> bool:
-    """True for a finite real number without a fractional part; a bool, a
-    NaN or an infinity is not one, so a record check can name its field."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value == int(value)
-    )
+    """True for an integer or a finite real without a fractional part; a
+    bool, a NaN or an infinity is not one, so a record check can name its
+    field.  An integer of any size is whole without a float conversion."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)
 
 
 def _mag2(z: np.ndarray) -> np.ndarray:
@@ -154,8 +160,12 @@ class ArraySignal:
 
     def _store(self, grid, support, phasors):
         lines = np.asarray(support)
-        if lines.dtype.kind not in "iu" and not all(map(_is_whole, lines.tolist())):
-            raise GridRangeError("line indices must be whole numbers")
+        # numpy casts a bool among numbers, so only an integer ndarray is
+        # taken without a look at each entry
+        if not (isinstance(support, np.ndarray) and lines.dtype.kind in "iu"):
+            entries = lines.tolist() if isinstance(support, np.ndarray) else list(support)
+            if not all(map(_is_whole, entries)):
+                raise GridRangeError("line indices must be whole numbers")
         try:
             lines = lines.astype(np.int64, copy=False)
             in_range = not lines.size or 0 <= lines.min() <= lines.max() <= grid.max_index
@@ -242,7 +252,8 @@ class LineSpectrum(ArraySignal):
         half: dict[int, complex] = {}
         for k, v in dict(lines).items():
             want = complex(v) if k >= 0 else complex(v).conjugate()
-            have = half.setdefault(abs(k), want)
+            # not abs(k), which turns True into 1 before _store sees it
+            have = half.setdefault(k if k >= 0 else -k, want)
             if abs(have - want) > 1e-9 * max(abs(have), 1.0):
                 raise ValueError(f"conjugate symmetry violated at index {abs(k)}")
         dc = half.get(0, 0j)
@@ -265,7 +276,8 @@ class LineSpectrum(ArraySignal):
             raise GridRangeError("tone index must be >= 0")
         # _store keeps the real part amp*cos(phase) of a constant term
         coefficients = amps / _line_factor(indices) * np.exp(1j * phases)
-        return cls.from_phasors(grid, indices, [coefficients])
+        # the indices as given: numpy makes a bool among them an integer
+        return cls.from_phasors(grid, [t[0] for t in terms], [coefficients])
 
     # -- inspection ---------------------------------------------------------
 

@@ -181,6 +181,7 @@ class TestSteerTones:
             (lambda a: {"tone_indices": (11, 9)}, "strictly increasing"),
             (lambda a: {"tone_indices": (9.5, 11)}, "whole numbers"),
             (lambda a: {"tone_indices": (True, 11)}, "whole numbers"),
+            (lambda a: {"tone_indices": (9, 65)}, "tone index 65 is not on the grid"),
             (lambda a: {"amplitudes": (np.nan, 1.0)}, "amplitudes must be finite"),
             (lambda a: {"amplitudes": (1.0, np.inf)}, "amplitudes must be finite"),
             (lambda a: {"base_phases": (0.0, np.inf)}, "base_phases must be finite"),
@@ -193,6 +194,7 @@ class TestSteerTones:
             "tone-order",
             "fractional-tone-index",
             "bool-tone-index",
+            "off-grid-tone-index",
             "nan-amplitude",
             "inf-amplitude",
             "inf-base-phase",

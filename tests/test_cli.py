@@ -63,13 +63,13 @@ class TestParseConfig:
         assert cfg.seed == 0
         assert cfg.baseline is None
         assert cfg.band.keep_window == (4, 16)
-        assert [t.index for t in cfg.tones] == [9, 11]
+        assert cfg.steering.tone_indices == (9, 11)
 
     def test_tone_defaults(self):
         doc = base_config(tones=[{"index": 9}, {"index": 11, "amplitude": 0.5}])
         cfg = parse(doc)
-        assert cfg.tones[0].amplitude == 1.0 and cfg.tones[0].phase == 0.0
-        assert cfg.tones[1].amplitude == 0.5
+        assert cfg.steering.amplitudes[0] == 1.0 and cfg.steering.base_phases[0] == 0.0
+        assert cfg.steering.amplitudes[1] == 0.5
 
     def test_degenerate_frequency_plan_rejected(self):
         doc = base_config(
@@ -217,6 +217,49 @@ class TestParseConfig:
                 "geometry.element_delay",
                 id="overflowing-geometry.element_delay",
             ),
+            # integers beyond float's range and beyond int64 line indices
+            pytest.param(
+                lambda d: d["grid"].update(max_index=10**400),
+                "grid.max_index",
+                id="huge-grid.max_index",
+            ),
+            pytest.param(
+                lambda d: d["grid"].update(max_index=2**63),
+                "grid.max_index",
+                id="int64-grid.max_index",
+            ),
+            pytest.param(
+                lambda d: d["band"].update(adjacent_width=10**400),
+                "band.adjacent_width",
+                id="huge-band.adjacent_width",
+            ),
+            pytest.param(
+                lambda d: d["band"].update(in_band=[8, 10**400]),
+                "band.keep_window",
+                id="huge-band.in_band",
+            ),
+            pytest.param(
+                lambda d: d["band"].update(keep_window=[0, 10**400]),
+                "band.keep_window",
+                id="huge-band.keep_window",
+            ),
+            pytest.param(
+                lambda d: d["geometry"].update(num_antennas=10**400),
+                "sweep_points",
+                id="huge-geometry.num_antennas",
+            ),
+            # a base phase near the float limit plus a steering phase
+            pytest.param(
+                lambda d: d.update(
+                    tones=[{"index": 9, "phase": 1.79e308}, {"index": 11}],
+                    targets=[{"index": 9, "tau": 5e305}, {"index": 11, "tau": 0.0}],
+                    geometry={"num_antennas": 2, "element_delay": 5e305},
+                    grid={"base_rate": 1.0, "max_index": 64},
+                    sweep_points=16,
+                ),
+                "tones",
+                id="overflowing-steering-phase",
+            ),
         ],
     )
     def test_semantic_errors_name_fields(self, mutate, field):
@@ -241,7 +284,7 @@ class TestParseConfig:
         doc = base_config(sweep_points=2**14 + 1, baseline={"trials": 1024})
         assert parse(doc).sweep_points == 2**14 + 1
         huge = base_config(geometry=geometry(2**17), sweep_points=16)
-        assert parse(huge).geometry.num_antennas == 2**17
+        assert parse(huge).steering.geometry.num_antennas == 2**17
         assert parse(dict(huge, geometry=geometry(4096), baseline={"trials": 1}))
         for doc, field in (
             (base_config(sweep_points=1e18), "sweep_points"),

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 import imdbeam
-from imdbeam import ArrayGeometry, BandDefinition, FrequencyGrid, NoiseModelConfig
+from imdbeam import (
+    ArrayGeometry,
+    BandDefinition,
+    FrequencyGrid,
+    NoiseModelConfig,
+    PolynomialNonlinearity,
+)
 from imdbeam.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -180,6 +186,10 @@ BAD_FIELDS = [
     (FrequencyGrid, (1.0, True), "max_index"),
     (FrequencyGrid, (math.inf, 10), "base_rate"),
     (FrequencyGrid, (math.nan, 10), "base_rate"),
+    # line indices are int64, and a device needs a usable coefficient
+    (FrequencyGrid, (1.0, 2**63), "max_index"),
+    (PolynomialNonlinearity, ((0.0, 0.0),), "coefficients"),
+    (PolynomialNonlinearity, ((1.0,) * 10,), "coefficients"),
     (NoiseModelConfig, ((math.inf,), 1.0, 10, 0), "distortion_line_indices"),
     (NoiseModelConfig, ((7.5,), 1.0, 10, 0), "distortion_line_indices"),
     (NoiseModelConfig, ((7,), math.nan, 10, 0), "per_antenna_line_power"),

@@ -162,8 +162,24 @@ class TestConstruction:
             lambda: LineSpectrum.from_phasors(GRID, [True], [[1.0]]),
             lambda: LineSpectrum.from_phasors(GRID, [np.nan], [[1.0]]),
             lambda: LineSpectrum.from_phasors(GRID, np.array([9.0, 11.5]), [[1.0, 1.0]]),
+            # numpy would cast a bool among numbers to line 1
+            lambda: LineSpectrum.from_phasors(GRID, [9, True], [[1.0, 1.0]]),
+            lambda: LineSpectrum.from_phasors(GRID, [9.0, True], [[1.0, 1.0]]),
+            lambda: LineSpectrum.from_real_tones(GRID, [(9, 1.0, 0.0), (True, 1.0, 0.0)]),
+            lambda: LineSpectrum(GRID, {True: 1.0}),
         ],
-        ids=["mapping", "real-tones", "phasors", "bool", "nan", "float-array"],
+        ids=[
+            "mapping",
+            "real-tones",
+            "phasors",
+            "bool",
+            "nan",
+            "float-array",
+            "int-and-bool",
+            "float-and-bool",
+            "real-tones-bool",
+            "mapping-bool",
+        ],
     )
     def test_non_whole_line_index_rejected(self, build):
         # the index is checked as given, not truncated to a line it does not name
