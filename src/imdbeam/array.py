@@ -15,7 +15,7 @@ element_delay) * lf(k) * (sum_m |c_m|)**2`` of the exact power at its delay
 (float64 ``eps``, line power factor ``lf``), for a weak line as for a strong.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Mapping
 import math
 
@@ -35,11 +35,15 @@ from .spectra import (
 
 DEFAULT_SWEEP_POINTS = 1024
 
+# Most antennas, and most sweep points: every chirp index j below it has
+# j**2 < 2**53, on which _phasors forms phases exactly
+MAX_CHIRP_LENGTH = 2**26
+
 
 def steering(num_antennas: int, phase_step) -> np.ndarray:
-    """Far-field steering phasors ``exp(-1j * m * phase_step)``, one row per
-    antenna ``m``; ``phase_step`` is ``omega * tau`` in radians, a scalar or
-    a vector (then one column per entry)."""
+    """Steering phasors ``exp(-1j * m * phase_step)``, one row per antenna
+    ``m``, for a scalar or vector ``phase_step`` (then one column per entry):
+    reception weights at ``omega * tau``, a transmitted lead at minus that."""
     phasors = -1j * np.multiply.outer(np.arange(num_antennas), phase_step)
     return np.exp(phasors, out=phasors)
 
@@ -64,8 +68,8 @@ class ArrayGeometry:
     element_delay: float
 
     def __post_init__(self):
-        if not _is_whole(self.num_antennas) or self.num_antennas < 1:
-            raise ValueError("num_antennas must be a positive integer")
+        if not (_is_whole(self.num_antennas) and 1 <= self.num_antennas <= MAX_CHIRP_LENGTH):
+            raise ValueError("num_antennas must be a whole number from 1 to 2**26")
         if not 0 < self.element_delay < math.inf:
             raise ValueError("element_delay must be positive and finite")
 
@@ -81,9 +85,10 @@ class SteeringAssignment:
     line of ``grid``, increasing) with amplitude ``amplitudes[j]`` and phase
     ``base_phases[j]`` on antenna 0, steered at delay ``targets[j]``.
 
-    ``phases`` is derived here, never given: ``phases[m][j]``, the phase of
-    tone ``j`` on antenna ``m``, is ``base + m * (k*base_rate) * tau_k``
-    reduced mod 2*pi.  Every number is finite.  The reduced phases do not
+    Steering changes phases only: tone ``j`` leads by its phase step
+    ``omega_j * targets[j]`` from one antenna to the next, so antenna ``m``
+    carries it at phase ``base + m * step``.  Every number, the derived
+    ``phase_steps`` included, is finite.  A step reduced mod 2*pi does not
     determine a direction, so :func:`distortion_delays` reads ``targets``.
     """
 
@@ -93,7 +98,6 @@ class SteeringAssignment:
     amplitudes: tuple[float, ...]
     base_phases: tuple[float, ...]
     targets: tuple[float, ...]
-    phases: tuple[tuple[float, ...], ...] = field(init=False)
 
     def __post_init__(self):
         for name in ("amplitudes", "base_phases", "targets"):
@@ -108,25 +112,23 @@ class SteeringAssignment:
         object.__setattr__(self, "tone_indices", tuple(map(int, self.tone_indices)))
         if not all(a < b for a, b in zip(self.tone_indices, self.tone_indices[1:])):
             raise ValueError("tone indices must be strictly increasing")
-        omegas = np.array([self.grid.omega(k) for k in self.tone_indices])
-        m = np.arange(self.geometry.num_antennas)[:, None]
-        # a non-finite phase is reported below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = (np.array(self.base_phases) + m * omegas * np.array(self.targets)) % TWO_PI
-        object.__setattr__(self, "phases", tuple(map(tuple, table.tolist())))
-        for name in ("amplitudes", "base_phases", "targets", "phases"):
+        for name in ("amplitudes", "base_phases", "targets", "phase_steps"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
+
+    @property
+    def phase_steps(self) -> np.ndarray:
+        """Per-antenna phase lead ``omega_k * tau_k`` of each tone, radians."""
+        # Python floats: a product beyond float range is inf, not a warning
+        return np.array([self.grid.omega(k) * t for k, t in zip(self.tone_indices, self.targets)])
 
     def input_signal(self) -> ArraySignal:
         """Multi-tone inputs of all antennas' devices: row ``m`` drives the
         device of antenna ``m``."""
         factors = _line_factor(np.array(self.tone_indices))
-        return ArraySignal.from_phasors(
-            self.grid,
-            self.tone_indices,
-            np.array(self.amplitudes) / factors * np.exp(1j * np.array(self.phases)),
-        )
+        tones = np.array(self.amplitudes) / factors * np.exp(1j * np.array(self.base_phases))
+        leads = steering(self.geometry.num_antennas, -(self.phase_steps % TWO_PI))
+        return ArraySignal.from_phasors(self.grid, self.tone_indices, tones * leads)
 
 
 def steer_tones(
@@ -167,8 +169,9 @@ def transmit(
     Every antenna gets the same tone amplitudes and steering changes phases
     only, so the distortion is correlated across the array (the source
     paper's argument): the mixing order ``n`` (``n[j]`` signed copies of tone
-    ``j``, at line ``n . k``) has one coefficient ``C_n`` for all antennas,
-    and antenna ``m`` rotates it by ``exp(1j * n . phases[m])``.  The table
+    ``j``, at line ``n . k``) has one coefficient ``C_n`` for all antennas.
+    Antenna 0 rotates it by ``exp(1j * n . base_phases)``, and each next
+    antenna leads by ``n . phase_steps``, both reduced mod 2*pi.  The table
     of ``C_n`` is ``apply_polynomial`` of one virtual antenna with tone ``j``
     at index ``B**j``, ``B = 2 * degree + 1``, where the balanced base-``B``
     digits of each line are its order.  Only orders whose line ``|n . k|``
@@ -209,8 +212,10 @@ def transmit(
     kept = kept[np.argsort(lines[kept], kind="stable")]
     # a nonzero order on line 0 stands for itself and its mirror: 2 Re(.)
     weights = np.where((lines[kept] == 0) & (table.support[kept] > 0), 2.0, 1.0)
-    # n . phases[m] for every antenna m and kept order n
-    rotations = np.exp(1j * (np.array(assignment.phases)[:, None, :] * orders[kept]).sum(-1))
+    # reduced before an order or an antenna index multiplies them: every phase is finite
+    base_turns = orders[kept] @ (np.array(assignment.base_phases) % TWO_PI)
+    leads = (orders[kept] @ (assignment.phase_steps % TWO_PI)) % TWO_PI
+    rotations = np.exp(1j * base_turns) * steering(assignment.geometry.num_antennas, -leads)
     signal = ArraySignal.from_phasors(
         assignment.grid, lines[kept], table.phasors[0, kept].real * weights * rotations
     )
@@ -237,14 +242,6 @@ def far_field_receive(signal: ArraySignal, tau_rx: float) -> LineSpectrum:
     omegas = signal.grid.base_rate * signal.support
     received = _receive(signal.phasors.T, omegas * tau_rx)
     return LineSpectrum.from_phasors(signal.grid, signal.support, received[None])
-
-
-def _received_power(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
-    """Far-field power of line ``freq_index`` at ``tau_rx``, for
-    ``metrics.array_gain``: :func:`far_field_receive`'s sum, so the two agree
-    bit for bit wherever ``far_field_receive`` does not prune the line."""
-    received = _receive(signal.coefficients(freq_index), signal.grid.omega(freq_index) * tau_rx)
-    return _line_factor(freq_index) * _mag2(received)
 
 
 def _phasors(phase: float, q: np.ndarray) -> np.ndarray:
@@ -411,8 +408,8 @@ def _sweep_grid(
 ) -> tuple[np.ndarray, float]:
     """Delays ``[-element_delay, +element_delay]`` (endpoints included) of a
     sweep of line ``freq_index`` and the sweep's coherence tolerance."""
-    if num_points < 16:
-        raise ValueError("num_points must be >= 16")
+    if not 16 <= num_points <= MAX_CHIRP_LENGTH:
+        raise ValueError("num_points must be between 16 and 2**26")
     if geometry.num_antennas != signal.num_antennas:
         raise ValueError("geometry and signal disagree on the antenna count")
     taus = np.linspace(-geometry.element_delay, geometry.element_delay, num_points)
@@ -472,7 +469,7 @@ def pattern_sweep(
         raise MissingLineError(f"no antenna carries a line at index {freq_index}")
     omega = signal.grid.omega(freq_index)
     received = _chirp_z(signal.coefficients(freq_index), omega, geometry.element_delay, num_points)
-    powers = _line_factor(freq_index) * np.abs(received) ** 2
+    powers = _line_factor(freq_index) * _mag2(received)
     return _build_pattern(
         freq_index, taus, powers, signal.port_line_power_total(freq_index), tol
     )

@@ -310,27 +310,28 @@ def _validate(doc) -> ScenarioConfig:
                 raise ConfigError("baseline.line_indices", "indices must be distinct")
         baseline = BaselineSettings(trials, line_indices)
 
+    # checked first: a sweep has at least 16 points, so no sweep_points could fit
+    most = MAX_SWEEP_ELEMENTS // 16 if baseline is None else math.isqrt(MAX_SWEEP_ELEMENTS)
+    if num_antennas > most:
+        raise ConfigError(
+            "geometry.num_antennas",
+            f"must be at most {most}, so that neither a sweep of 16 points nor a baseline's "
+            "num_antennas x num_antennas complex matrices exceed 2**24 elements",
+        )
     if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
             "sweep_points",
             f"must be at most {MAX_SWEEP_ELEMENTS // num_antennas}, so that a sweep's FFT "
             f"length {num_antennas} + sweep_points - 1 stays within 2**24",
         )
-    if baseline is not None and num_antennas**2 > MAX_SWEEP_ELEMENTS:
-        raise ConfigError(
-            "geometry.num_antennas",
-            f"must be at most {math.isqrt(MAX_SWEEP_ELEMENTS)} with a baseline, "
-            "which forms num_antennas x num_antennas complex matrices",
-        )
 
     # Every port line is at most sum_p |a_p| (A1 + A2)**p in magnitude, so no
     # received power, matched noise included, exceeds 8 * (M * peak)**2.  The
     # run sums such powers over keep-window lines and baseline trials.  It
     # also forms the angular frequency of every kept and baseline line, and the
-    # chirp of a sweep (_chirp_z) has phases below
-    # omega * element_delay * max(M, N)**2 / (N - 1), which exceeds every
-    # steering phase m * omega * tau of a tone.  A huge integer raises
-    # OverflowError, which leaves the values not yet formed infinite.
+    # chirp of a sweep (_chirp_z) has phases below omega * element_delay *
+    # max(M, N)**2 / (N - 1), above every phase step omega * tau of a tone.  A
+    # huge integer raises OverflowError, which leaves the values not yet formed infinite.
     amplitude_sum = amplitudes[k1] + amplitudes[k2]
     top_line = max((band.keep_window[1], *((baseline.line_indices or ()) if baseline else ())))
     bound = top_omega = sweep_phase = math.inf
@@ -353,14 +354,12 @@ def _validate(doc) -> ScenarioConfig:
         raise ConfigError("grid.base_rate", "the top line's angular frequency would overflow")
     if not math.isfinite(sweep_phase):
         raise ConfigError("geometry.element_delay", "the phases of a pattern sweep would overflow")
-    if not math.isfinite(max(map(abs, base_phases.values())) + sweep_phase):
-        raise ConfigError("tones", "a base phase plus its steering phase would overflow")
 
     output_dir = top.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir", "must be a string")
 
-    # last, once the guards above keep every phase of the table finite
+    # last, once the guards above keep every phase step finite
     steering = steer_tones(grid, geometry, targets, base_phases, amplitudes)
     return ScenarioConfig(steering, device, band, sweep_points, seed, baseline, output_dir)
 
@@ -571,7 +570,7 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             "version": __version__,
             "seed": cfg.seed,
         },
-        "steering": _fields(cfg.steering, "grid", "geometry", "phases"),
+        "steering": _fields(cfg.steering, "grid", "geometry"),
         "distortion_directions": bundle.distortion,
         "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
         # line indices as strings: sort_keys would order int keys by number

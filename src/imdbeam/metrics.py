@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array import ArraySignal, SteeringAssignment, _received_power, far_field_receive
+from .array import ArraySignal, SteeringAssignment, _receive, far_field_receive
 from .errors import MissingLineError
 from .nonlinearity import BandDefinition, _contains
 from .spectra import LineSpectrum, _columns, _line_factor, _mag2
@@ -32,13 +32,15 @@ class MetricsReport:
 def array_gain(signal: ArraySignal, freq_index: int, tau_rx: float) -> float:
     """``|sum_m c_m e^{-i m omega tau}|**2 / sum_m |c_m|**2``; lies in
     ``[0, M]`` and equals M exactly when the per-antenna phases align at
-    ``tau_rx``."""
+    ``tau_rx``.  It takes :func:`far_field_receive`'s sum and power rule, so
+    the two agree bit for bit wherever the reception does not prune the line."""
     port_total = signal.port_line_power_total(freq_index)
     if port_total == 0.0:
         raise MissingLineError(
             f"no line at index {freq_index}; array gain undefined"
         )
-    return float(_received_power(signal, freq_index, tau_rx) / port_total)
+    received = _receive(signal.coefficients(freq_index), signal.grid.omega(freq_index) * tau_rx)
+    return float(_line_factor(freq_index) * _mag2(received) / port_total)
 
 
 def _interval_powers(support, phasors, interval: tuple[int, int]) -> np.ndarray:

@@ -3,6 +3,7 @@ closed-form distortion directions, cross-checked against a delayed
 time-domain oracle."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -71,6 +72,13 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(2, 0.0)
 
+    def test_antenna_count_bounded(self):
+        # _phasors forms exact chirp phases for indices below 2**26 only
+        assert ArrayGeometry(2**26, 0.5).num_antennas == 2**26
+        for m_count in (2**26 + 1, 10**400):
+            with pytest.raises(ValueError, match="^num_antennas must be a whole number"):
+                ArrayGeometry(m_count, 0.5)
+
     def test_grating_lobe_flag(self):
         geo = ArrayGeometry(2, 1.0 / 26.0)
         assert geo.grating_lobe_free(GRID.omega(12))
@@ -83,27 +91,44 @@ PHASE = st.floats(-np.pi, np.pi)
 TAU = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e12, 1e12))
 
 
+def scalar_inputs(a):
+    """The record's device inputs by the independent formula: tone ``j`` on
+    antenna ``m`` at ``(A_j/2) exp(i (base_j + m * omega_j * tau_j))``, with
+    a bound on the rounding of that phase."""
+    m = np.arange(a.geometry.num_antennas)[:, None]
+    steps = np.array([a.grid.omega(k) * tau for k, tau in zip(a.tone_indices, a.targets)])
+    phases = np.array(a.base_phases) + m * steps
+    bound = 8 * np.finfo(float).eps * (1.0 + np.abs(phases) + m * (np.abs(steps) + 2 * np.pi))
+    return np.array(a.amplitudes) / 2 * np.exp(1j * phases), bound * np.array(a.amplitudes)
+
+
+def assert_inputs_are_the_scalar_formula(a):
+    expected, bound = scalar_inputs(a)
+    assert np.all(np.abs(a.input_signal().phasors - expected) <= bound)
+
+
 class TestSteerTones:
     def test_single_antenna_keeps_base_phases(self):
         a = steer_tones(
             GRID, ArrayGeometry(1, 0.1), {9: 0.02, 11: 0.02},
             base_phases={9: 0.3, 11: -0.4},
         )
-        assert a.phases == ((0.3, pytest.approx(-0.4 % (2 * np.pi))),)
+        s = a.input_signal().per_antenna[0]
+        assert (s.phase(9), s.phase(11)) == (pytest.approx(0.3), pytest.approx(-0.4))
 
     def test_single_user_phase_leads(self):
         a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
-        lead1 = (a.phases[1][0] - a.phases[0][0]) % (2 * np.pi)
-        lead2 = (a.phases[1][1] - a.phases[0][1]) % (2 * np.pi)
-        assert lead1 == pytest.approx(2 * np.pi * 0.09, rel=1e-12)
-        assert lead2 == pytest.approx(2 * np.pi * 0.11, rel=1e-12)
+        expected = [2 * np.pi * 0.09, 2 * np.pi * 0.11]
+        np.testing.assert_allclose(a.phase_steps, expected, rtol=1e-12)
+        rows = a.input_signal().phasors
+        np.testing.assert_allclose(np.angle(rows[1] / rows[0]) % (2 * np.pi), expected, rtol=1e-12)
 
     def test_multi_user_phase_leads_reduced(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2})
-        lead1 = (a.phases[1][0] - a.phases[0][0]) % (2 * np.pi)
-        lead2 = (a.phases[1][1] - a.phases[0][1]) % (2 * np.pi)
-        assert lead1 == pytest.approx(1.6 * np.pi, rel=1e-12)
-        assert lead2 == pytest.approx(0.6 * np.pi, rel=1e-12)
+        np.testing.assert_allclose(a.phase_steps, [3.6 * np.pi, 6.6 * np.pi], rtol=1e-12)
+        rows = a.input_signal().phasors
+        leads = np.angle(rows[1] / rows[0]) % (2 * np.pi)
+        np.testing.assert_allclose(leads, [1.6 * np.pi, 0.6 * np.pi], rtol=1e-12)
 
     def test_targets_recorded_in_tone_order(self):
         a = steer_tones(GRID, GEO_MU, {11: TAU2, 9: TAU1})
@@ -125,15 +150,9 @@ class TestSteerTones:
         targets = {k: tau for k, (_, tau) in enumerate(tones, start=7)}
         base = {k: b for k, (b, _) in enumerate(tones, start=7)}
         a = steer_tones(grid, ArrayGeometry(m_count, 0.5), targets, base_phases=base)
-        expected = tuple(
-            tuple(
-                (base[k] + m * grid.omega(k) * targets[k]) % (2 * np.pi)
-                for k in sorted(targets)
-            )
-            for m in range(m_count)
-        )
-        assert a.phases == expected  # bit for bit
-        assert all(type(p) is float for row in a.phases for p in row)
+        # bit for bit: the step is omega * tau, in tone order
+        assert a.phase_steps.tolist() == [grid.omega(k) * targets[k] for k in sorted(targets)]
+        assert_inputs_are_the_scalar_formula(a)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -141,7 +160,7 @@ class TestSteerTones:
         st.integers(1, 64),
         st.lists(st.tuples(PHASE, TAU, PHASE, TAU), min_size=1, max_size=4),
     )
-    def test_steering_record_derives_the_phase_table(self, base_rate, m_count, tones):
+    def test_steering_record_derives_the_phase_steps(self, base_rate, m_count, tones):
         grid = FrequencyGrid(base_rate, 64)
         geometry = ArrayGeometry(m_count, 0.5)
         k = tuple(range(7, 7 + len(tones)))
@@ -153,24 +172,22 @@ class TestSteerTones:
             dataclasses.replace(a, targets=new_taus),
             dataclasses.replace(a, base_phases=new_base),
         ):
-            expected = tuple(
-                tuple(
-                    (changed.base_phases[j] + m * grid.omega(kj) * changed.targets[j])
-                    % (2 * np.pi)
-                    for j, kj in enumerate(k)
-                )
-                for m in range(m_count)
-            )
-            assert changed.phases == expected  # bit for bit
+            steps = [grid.omega(kj) * tau for kj, tau in zip(k, changed.targets)]
+            assert changed.phase_steps.tolist() == steps  # bit for bit
+            assert_inputs_are_the_scalar_formula(changed)
 
     def test_phases_are_derived_not_given(self):
         a = steer_tones(GRID, GEO_MU, {9: TAU1, 11: TAU2})
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(a, phases=a.phases)
+        with pytest.raises(TypeError, match="phase_steps"):
+            dataclasses.replace(a, phase_steps=a.phase_steps)
+        with pytest.raises(AttributeError):
+            a.phase_steps = a.phase_steps
 
     def test_non_finite_phase_rejected_without_warning(self):
-        with pytest.raises(ValueError, match="phases must be finite"):
-            steer_tones(GRID, GEO_MU, {9: 1e308, 11: 0.1})
+        # omega(9) * 1e308 overflows, on one antenna as on two
+        for geometry in (GEO_MU, ArrayGeometry(1, 0.5)):
+            with pytest.raises(ValueError, match="phase_steps must be finite"):
+                steer_tones(GRID, geometry, {9: 1e308, 11: 0.1})
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -218,7 +235,8 @@ class TestSteerTones:
         s = a.input_signal().per_antenna[1]
         assert s.amplitude(9) == pytest.approx(2.0)
         assert s.amplitude(11) == pytest.approx(0.5)
-        assert s.phase(9) % (2 * np.pi) == pytest.approx(a.phases[1][0], rel=1e-12)
+        expected = (GRID.omega(9) * TAU1) % (2 * np.pi)
+        assert s.phase(9) % (2 * np.pi) == pytest.approx(expected, rel=1e-12)
 
 
 class TestTransmit:
@@ -238,11 +256,18 @@ class TestTransmit:
                 )
 
     def test_upper_product_phase_lead(self):
-        assignment, sig, _ = multi_user_signal()
-        (p11, p12), (p21, p22) = assignment.phases
-        expected = ((2 * p22 - p21) - (2 * p12 - p11)) % (2 * np.pi)
+        _, sig, _ = multi_user_signal()
+        # the order (-1, 2) leads by 2 * omega_11 * tau_2 - omega_9 * tau_1
+        expected = (2 * GRID.omega(11) * TAU2 - GRID.omega(9) * TAU1) % (2 * np.pi)
         lead = (sig.per_antenna[1].phase(13) - sig.per_antenna[0].phase(13)) % (2 * np.pi)
         assert lead == pytest.approx(expected, rel=1e-9)
+
+    def test_huge_phase_steps_stay_finite(self):
+        # 2 * omega_9 * tau overflows, but each step is reduced mod 2*pi
+        # before an order multiplies it
+        assignment = steer_tones(GRID, GEO_MU, {9: 3e306, 11: 0.1})
+        sig = transmit(assignment, CUBIC, BAND)
+        assert np.isfinite(sig.phasors).all() and sig.line_indices() == (7, 9, 11, 13)
 
     def test_grid_must_hold_every_product(self):
         # called directly, not through parse_config: degree * k_top = 33 > 32
@@ -357,6 +382,28 @@ class TestTransmitProperties:
             distorted = SampledWaveform(f.evaluate(w.samples), w.sample_rate)
             oracle = band_filter(estimate_lines(distorted, grid), band)
             assert spec.allclose(oracle, rtol=1e-9, atol=1e-11 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(transmit_plans())
+    def test_single_order_lines_lead_by_the_order_phase_step(self, plan):
+        # every order n the device can produce, the one of each mirror pair on
+        # a positive line: a line that one of them alone reaches carries it
+        # alone, and leads by n . (omega * tau) from one antenna to the next
+        assignment, f, band = plan
+        sig = transmit(assignment, f, band)
+        k, taus = assignment.tone_indices, assignment.targets
+        orders = {}
+        for n in itertools.product(range(-f.degree, f.degree + 1), repeat=len(k)):
+            line = int(np.dot(n, k))
+            if line > 0 and sum(map(abs, n)) <= f.degree:
+                orders.setdefault(line, []).append(n)
+        for line, (n, *others) in orders.items():
+            c = sig.coefficients(line)
+            if others or not np.all(c):
+                continue
+            lead = sum(nj * assignment.grid.omega(kj) * t for nj, kj, t in zip(n, k, taus))
+            error = np.angle(c[1:] * c[:-1].conj() * np.exp(-1j * lead))
+            assert np.abs(error).max(initial=0.0) <= 1e-9
 
     def test_huge_grid_allocates_nothing_grid_sized(self):
         # one dense row over this grid would take 2e13 phasors; the shared
@@ -603,6 +650,12 @@ class TestPatternSweep:
         _, sig = single_user_signal()
         with pytest.raises(ValueError):
             pattern_sweep(sig, 13, GEO_SU, 8)
+
+    def test_point_count_maximum(self):
+        # rejected before any sweep delay is formed
+        _, sig = single_user_signal()
+        with pytest.raises(ValueError, match="num_points must be between 16 and 2"):
+            pattern_sweep(sig, 13, GEO_SU, 2**26 + 1)
 
     def test_antenna_count_mismatch(self):
         _, sig = single_user_signal()

@@ -245,20 +245,16 @@ class TestParseConfig:
             ),
             pytest.param(
                 lambda d: d["geometry"].update(num_antennas=10**400),
-                "sweep_points",
+                "geometry.num_antennas",
                 id="huge-geometry.num_antennas",
             ),
-            # a base phase near the float limit plus a steering phase
+            # too many antennas for a sweep of even the fewest 16 points
             pytest.param(
                 lambda d: d.update(
-                    tones=[{"index": 9, "phase": 1.79e308}, {"index": 11}],
-                    targets=[{"index": 9, "tau": 5e305}, {"index": 11, "tau": 0.0}],
-                    geometry={"num_antennas": 2, "element_delay": 5e305},
-                    grid={"base_rate": 1.0, "max_index": 64},
-                    sweep_points=16,
+                    geometry={"num_antennas": 2**21, "element_delay": 1.0}, sweep_points=16
                 ),
-                "tones",
-                id="overflowing-steering-phase",
+                "geometry.num_antennas",
+                id="sweepless-geometry.num_antennas",
             ),
         ],
     )
@@ -268,6 +264,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse(doc)
         assert err.value.field == field
+
+    def test_huge_base_phase_runs_to_a_finite_report(self, tmp_path):
+        # a base phase near the float limit, and phase steps near it too: each
+        # is reduced mod 2*pi before an antenna index multiplies it
+        doc = base_config(
+            tones=[{"index": 9, "phase": 1.79e308}, {"index": 11}],
+            targets=[{"index": 9, "tau": 5e305}, {"index": 11, "tau": 0.0}],
+            geometry={"num_antennas": 2, "element_delay": 5e305},
+            grid={"base_rate": 1.0, "max_index": 64},
+            sweep_points=16,
+        )
+        assert parse(doc).steering.base_phases == (1.79e308, 0.0)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        for path in (tmp_path / "out").iterdir():
+            text = path.read_text()
+            assert not re.search(r"\bnan\b|infinity", text, re.IGNORECASE), path.name
 
     def test_sweep_points_bounded(self):
         # a bound on antennas x sweep points, and with a baseline on its

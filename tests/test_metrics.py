@@ -299,10 +299,12 @@ class TestReportMatchesScalarMetrics:
         # each received) spectrum, and both against Python loops over lines
         assignment, f, band, directions = scenario
         sig = transmit(assignment, f, band)
-        tones = list(zip(assignment.tone_indices, assignment.amplitudes))
+        s = assignment
+        tones = list(zip(s.tone_indices, s.amplitudes, s.base_phases, s.targets))
 
         def refs(m):
-            return [(k, a, assignment.phases[m][j]) for j, (k, a) in enumerate(tones)]
+            # the steered phase by the independent formula, base + m * omega * tau
+            return [(k, a, b + m * s.grid.omega(k) * tau) for k, a, b, tau in tones]
 
         located = [(spec, refs(m)) for m, spec in enumerate(sig.per_antenna)]
         located += [(far_field_receive(sig, tau), refs(0)) for tau in directions]
