@@ -529,8 +529,8 @@ def _fields(x, *drop: str) -> dict:
 
 
 def _dumps(doc) -> str:
-    """The JSON text of a report, compare or sweep document."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_fields)
+    """A report, compare or sweep document as one line; no ``indent`` keeps json in C."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False, default=_fields)
 
 
 def _pattern_jsonable(pattern: Pattern, csv_name: str) -> dict:
@@ -605,20 +605,21 @@ def _write(directory: str, name: str, data: str) -> str:
     return path
 
 
-def _pattern_csv(pattern: Pattern) -> str:
-    """CSV rows of ``pattern``: delay, linear power and power in dB."""
-    powers = pattern.powers.tolist()
-    dbs = [10.0 * math.log10(p) if p > 0.0 else -math.inf for p in powers]
-    rows = ["%.12g,%.12g,%.12g\n" % row for row in zip(pattern.taus.tolist(), powers, dbs)]
-    return "tau_rx_seconds,power_linear,power_db\n" + "".join(rows)
+def _csv_template(taus) -> str:
+    """Pattern CSV text on the delays ``taus`` with a ``%.12g`` slot for each
+    linear power: ``template % tuple(powers)`` fills them in one pass."""
+    rows = ("%.12g,%%.12g\n" * taus.size) % tuple(taus.tolist())
+    return "tau_rx_seconds,power_linear\n" + rows
 
 
 def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     """Write one CSV per pattern sweep, then ``report.json``; returns the
     written paths.  Each file is written atomically, so a failed run never
     leaves a partial ``report.json``."""
+    # every sweep of a run is on one _sweep_grid, and a run sweeps its tones (EVM needs them)
+    csv = _csv_template(bundle.patterns[0].taus)
     written = [
-        _write(out_dir, _pattern_csv_name(p.freq_index, baseline), _pattern_csv(p))
+        _write(out_dir, _pattern_csv_name(p.freq_index, baseline), csv % tuple(p.powers.tolist()))
         for baseline, patterns in ((False, bundle.patterns), (True, bundle.baseline_patterns))
         for p in patterns
     ]
@@ -688,7 +689,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("line", str(e)) from None
     csv_name = _pattern_csv_name(args.line)
     if args.out:
-        _write(args.out, csv_name, _pattern_csv(pattern))
+        _write(args.out, csv_name, _csv_template(pattern.taus) % tuple(pattern.powers.tolist()))
     print(_dumps(_pattern_jsonable(pattern, csv_name)))
     return 0
 

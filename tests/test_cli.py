@@ -554,10 +554,9 @@ def off_plan_config():
 
 def row_formatted_csv(pattern) -> str:
     """Pattern CSV formatted row by row, the delay column included."""
-    rows = ["tau_rx_seconds,power_linear,power_db"]
+    rows = ["tau_rx_seconds,power_linear"]
     for tau, p in zip(pattern.taus.tolist(), pattern.powers.tolist()):
-        db = 10.0 * math.log10(p) if p > 0.0 else float("-inf")
-        rows.append(f"{tau:.12g},{p:.12g},{db:.12g}")
+        rows.append(f"{tau:.12g},{p:.12g}")
     return "\n".join(rows) + "\n"
 
 
@@ -576,7 +575,7 @@ class TestEmit:
             "report.json",
         ]
         csv = (tmp_path / "pattern_13.csv").read_text().splitlines()
-        assert csv[0] == "tau_rx_seconds,power_linear,power_db"
+        assert csv[0] == "tau_rx_seconds,power_linear"
         assert len(csv) == 129
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["provenance"]["config_sha256"] == config_hash(cfg)
@@ -598,6 +597,30 @@ class TestEmit:
             for p in patterns:
                 csv = tmp_path / f"pattern_{p.freq_index}{suffix}.csv"
                 assert csv.read_bytes() == row_formatted_csv(p).encode()
+
+    def test_readme_outputs_read_back(self, tmp_path):
+        # each CSV holds the report entry's delay grid and its sweep's powers
+        # to 12 significant digits; report.json is one line
+        cfg = parse(multi_user_config(baseline={"trials": 10000}, sweep_points=1024, seed=1234))
+        bundle = run_scenario(cfg)
+        emit(bundle, str(tmp_path))
+        text = (tmp_path / "report.json").read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert '"notes": [' in text
+        report = json.loads(text)
+        entries = report["patterns"] + report["baseline"]["patterns"]
+        sweeps = bundle.patterns + bundle.baseline_patterns
+        assert [e["freq_index"] for e in entries] == [p.freq_index for p in sweeps]
+        assert len(sweeps) == 6
+        for entry, pattern in zip(entries, sweeps):
+            header, *lines = (tmp_path / entry["csv"]).read_text().splitlines()
+            assert header == "tau_rx_seconds,power_linear"
+            rows = [line.split(",") for line in lines]
+            assert {len(row) for row in rows} == {2}
+            taus = np.linspace(entry["tau_start"], entry["tau_stop"], entry["points"])
+            assert [row[0] for row in rows] == ["%.12g" % tau for tau in taus.tolist()]
+            powers = np.array([float(row[1]) for row in rows])
+            np.testing.assert_allclose(powers, pattern.powers, rtol=5e-12, atol=0.0)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = parse(multi_user_config(baseline={"trials": 200}, seed=5, sweep_points=128))
@@ -912,7 +935,7 @@ class TestMain:
         path, report = self.run_readme_config(tmp_path)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", path, "--out", str(out)]) == 0
-        expected = json.dumps(report["baseline"], indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(report["baseline"], sort_keys=True) + "\n"
         assert (out / "compare.json").read_text() == expected
         assert capsys.readouterr().out.endswith(expected)
 
@@ -921,7 +944,7 @@ class TestMain:
         capsys.readouterr()
         assert main(["sweep", "--config", path, "--line", "13"]) == 0
         (summary,) = [p for p in report["patterns"] if p["freq_index"] == 13]
-        expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(summary, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
 
     def test_sweep_writes_the_run_csv(self, tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_report_and_compare_keys_in_string_order(tmp_path):
         assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
     for name in ("report.json", "compare.json"):
         text = (out / name).read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
     directions = json.loads((out / "report.json").read_text())["directions"]
     assert all(set(d["array_gain_by_line"]) == {"7", "9", "11", "13"} for d in directions)
 
