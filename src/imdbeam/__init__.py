@@ -10,7 +10,7 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 from .array import (
     ArrayGeometry,
@@ -43,7 +43,7 @@ from .errors import (
     LeakageError,
     MissingLineError,
 )
-from .metrics import MetricsReport, aclr, array_gain, evm, port_vs_ota_report
+from .metrics import MetricsReport, array_gain, port_vs_ota_report
 from .nonlinearity import (
     BandDefinition,
     PolynomialNonlinearity,
@@ -57,7 +57,6 @@ from .spectra import (
     FrequencyGrid,
     LineSpectrum,
     SampledWaveform,
-    add,
     estimate_lines,
     sample_waveform,
     tone,
@@ -86,15 +85,12 @@ __all__ = [
     "PRUNE_THRESHOLD",
     "SampledWaveform",
     "SteeringAssignment",
-    "aclr",
-    "add",
     "apply_polynomial",
     "array_gain",
     "band_filter",
     "delay_to_angle",
     "distortion_delays",
     "estimate_lines",
-    "evm",
     "far_field_receive",
     "fold_delay",
     "independent_noise_transmit",

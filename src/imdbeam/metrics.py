@@ -15,7 +15,7 @@ import numpy as np
 from .array import ArraySignal, SteeringAssignment, _receive, far_field_receive
 from .errors import MissingLineError
 from .nonlinearity import BandDefinition, _contains
-from .spectra import LineSpectrum, _columns, _line_factor, _mag2
+from .spectra import _columns, _line_factor, _mag2
 
 
 @dataclass(frozen=True)
@@ -85,29 +85,6 @@ def _evm_rows(support, phasors, ref_indices, refs: np.ndarray, band: BandDefinit
     if np.any(sig == 0.0):
         raise ValueError("observed in-band signal is zero; EVM undefined")
     return np.sqrt(err / sig)
-
-
-def aclr(spectrum: LineSpectrum, band: BandDefinition) -> tuple[float, float]:
-    """(lower, upper) adjacent-band leakage in dB relative to total in-band
-    power.  An empty adjacent band reports ``-inf``."""
-    lower, upper = _aclr_rows(spectrum.support, spectrum.phasors, band)
-    return float(lower[0]), float(upper[0])
-
-
-def evm(
-    spectrum: LineSpectrum,
-    reference_tones: list[tuple[int, float, float]],
-    band: BandDefinition,
-) -> float:
-    """In-band error vector magnitude against ``(index, amplitude, phase)``
-    reference tones after fitting one common complex gain.
-
-    In-band lines without a reference count entirely as error; the fitted
-    gain makes the result invariant to any common scaling of the observed
-    spectrum.
-    """
-    ref = LineSpectrum.from_real_tones(spectrum.grid, reference_tones)
-    return float(_evm_rows(spectrum.support, spectrum.phasors, ref.support, ref.phasors, band)[0])
 
 
 def port_vs_ota_report(

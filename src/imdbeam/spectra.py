@@ -131,9 +131,10 @@ class ArraySignal:
     ``m``'s coefficients at those indices, an exact zero where the antenna
     has no line.  The coefficient at ``-k`` is the conjugate of the one at
     ``+k`` and is not stored.  :meth:`_store` is the one place where the
-    coefficient at 0 is made real, the grid range is checked and
-    coefficients below ``PRUNE_THRESHOLD`` are dropped; repeated lines
-    superpose through :func:`_superpose`, as in ``apply_polynomial``.
+    coefficient at 0 is made real, the grid range is checked, a non-finite
+    coefficient is rejected and coefficients below ``PRUNE_THRESHOLD`` are
+    dropped; repeated lines superpose through :func:`_superpose`, as in
+    ``apply_polynomial``.
     """
 
     __slots__ = ("grid", "support", "phasors")
@@ -176,6 +177,8 @@ class ArraySignal:
                 f"line indices must lie in [0, {grid.max_index}] on this grid"
             )
         lines, merged = _superpose(lines, phasors)
+        if not np.isfinite(merged).all():
+            raise ValueError("line coefficients must be finite")
         if lines.size and lines[0] == 0:
             merged[:, 0] = merged[:, 0].real
         merged[np.abs(merged) < PRUNE_THRESHOLD] = 0.0
@@ -261,56 +264,23 @@ class LineSpectrum(ArraySignal):
             raise ValueError("zero-frequency coefficient must be real")
         self._store(grid, list(half), [list(half.values())])
 
-    @classmethod
-    def from_real_tones(
-        cls, grid: FrequencyGrid, terms: Iterable[tuple[int, float, float]]
-    ) -> "LineSpectrum":
-        """Build a spectrum from ``(index, amplitude, phase)`` cosine terms.
-
-        Repeated indices superpose.  A term at index 0 contributes the
-        constant ``amplitude*cos(phase)``.
-        """
-        terms = list(terms)
-        indices, amps, phases = (np.array([t[i] for t in terms]) for i in range(3))
-        if np.any(indices < 0):
-            raise GridRangeError("tone index must be >= 0")
-        # _store keeps the real part amp*cos(phase) of a constant term
-        coefficients = amps / _line_factor(indices) * np.exp(1j * phases)
-        # the indices as given: numpy makes a bool among them an integer
-        return cls.from_phasors(grid, [t[0] for t in terms], [coefficients])
-
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.support.size
-
-    def indices(self) -> tuple[int, ...]:
-        """Sorted non-negative line indices present in the spectrum."""
-        return self.line_indices()
 
     def items(self):
         """Signed ``(index, coefficient)`` pairs in ascending index order."""
         lines, phasors = _signed(self.support, self.phasors)
         return zip(lines.tolist(), phasors[0].tolist())
 
-    def coefficient(self, index: int) -> complex:
-        return complex(self.coefficients(index)[0])
-
     def amplitude(self, index: int) -> float:
         """Amplitude of the real cosine at ``index >= 0`` (0 if absent)."""
-        return _line_factor(index) * abs(self.coefficient(abs(index)))
+        return _line_factor(index) * float(abs(self.coefficients(abs(index))[0]))
 
     def phase(self, index: int) -> float:
-        return float(np.angle(self.coefficient(index)))
-
-    def line_power(self, index: int) -> float:
-        """Mean-square power carried by the line (see :meth:`line_powers`)."""
-        return float(self.line_powers(index)[0])
+        return float(np.angle(self.coefficients(index)[0]))
 
     def total_power(self) -> float:
         """Mean-square power of the whole signal (Parseval sum)."""
-        return float(sum(map(self.line_power, self.indices())))
+        return float(sum(float(self.line_powers(k)[0]) for k in self.line_indices()))
 
     def evaluate(self, t) -> np.ndarray:
         """Evaluate the real signal at times ``t`` (seconds, array-like)."""
@@ -354,20 +324,19 @@ class LineSpectrum(ArraySignal):
 
 def tone(grid: FrequencyGrid, amplitude: float, freq_index: int, phase: float = 0.0) -> LineSpectrum:
     """Spectrum of ``amplitude * cos(freq_index * base_rate * t + phase)``."""
-    if int(freq_index) != freq_index or freq_index < 1:
+    if freq_index < 1:
         raise GridRangeError("freq_index must be a positive integer")
     if freq_index > grid.max_index:
         raise GridRangeError(
             f"freq_index {freq_index} exceeds grid max_index {grid.max_index}"
         )
+    # checked before numpy would warn on them
+    if not (math.isfinite(amplitude) and math.isfinite(phase)):
+        raise ValueError("amplitude and phase must be finite")
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
-    return LineSpectrum.from_real_tones(grid, [(int(freq_index), amplitude, phase)])
-
-
-def add(a: LineSpectrum, b: LineSpectrum) -> LineSpectrum:
-    """Coefficient-wise superposition (same as ``a + b``)."""
-    return a + b
+    # the index as given, so that _store rejects one that is not whole
+    return LineSpectrum.from_phasors(grid, [freq_index], [[amplitude / 2 * np.exp(1j * phase)]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,8 +361,10 @@ def sample_waveform(s: LineSpectrum, periods: int, samples_per_period: int) -> S
     every representable line stays below Nyquist; coherence (an integer
     number of fundamental periods) makes the DFT analysis leakage-free.
     """
-    if int(periods) != periods or periods < 1:
+    if not _is_whole(periods) or periods < 1:
         raise ValueError("periods must be a positive integer")
+    if not _is_whole(samples_per_period):
+        raise ValueError("samples_per_period must be a whole number")
     if samples_per_period <= 2 * s.grid.max_index:
         raise AliasingError(
             f"samples_per_period must exceed {2 * s.grid.max_index} "

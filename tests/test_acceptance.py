@@ -17,24 +17,23 @@ from imdbeam import (
     FrequencyGrid,
     NoiseModelConfig,
     PolynomialNonlinearity,
-    aclr,
     apply_polynomial,
     array_gain,
     band_filter,
     distortion_delays,
     estimate_lines,
-    evm,
-    far_field_receive,
     independent_noise_transmit,
     matched_noise_config,
     mean_pattern,
     pattern_sweep,
+    port_vs_ota_report,
     sample_waveform,
     steer_tones,
     tone,
     transmit,
 )
 from imdbeam.cli import config_to_jsonable, main, parse_config
+from imdbeam.metrics import _aclr_rows, _evm_rows
 from imdbeam.spectra import SampledWaveform
 
 GRID = FrequencyGrid(2 * np.pi, 64)
@@ -81,14 +80,14 @@ def multi_user_signal(num_antennas=2):
 def test_criterion_1_third_order_expansion():
     with criterion(1, "third-order two-tone expansion"):
         x, y = unit_two_tone(0.1)
-        assert y.indices() == tuple(sorted(EXPANSION_01))
+        assert y.line_indices() == tuple(sorted(EXPANSION_01))
         for k, amp in EXPANSION_01.items():
             assert y.amplitude(k) == pytest.approx(amp, rel=1e-12)
         # independent oracle: pointwise polynomial on coherent samples, DFT
         w = sample_waveform(x, 1, 256)
         f = PolynomialNonlinearity.third_order(0.1)
         est = estimate_lines(SampledWaveform(f.evaluate(w.samples), w.sample_rate), GRID)
-        assert est.indices() == tuple(sorted(EXPANSION_01))
+        assert est.line_indices() == tuple(sorted(EXPANSION_01))
         for k, amp in EXPANSION_01.items():
             assert est.amplitude(k) == pytest.approx(amp, rel=1e-9)
 
@@ -105,15 +104,14 @@ def test_criterion_2_second_order_null():
 
 def test_criterion_3_single_user_co_beamforming():
     with criterion(3, "single-user co-beamformed distortion"):
-        _, signal = single_user_signal()
+        assignment, signal = single_user_signal()
         pattern = pattern_sweep(signal, 13, SU_GEO, 1024)
         assert abs(pattern.nearest_peak(SU_TAU) - SU_TAU) <= pattern.step
         # gain at the peak direction (the sweep grid only localizes it)
         assert array_gain(signal, 13, SU_TAU) == pytest.approx(2.0, abs=1e-9)
-        port = aclr(signal.per_antenna[0], BAND)
-        receiver = aclr(far_field_receive(signal, SU_TAU), BAND)
-        assert receiver[0] == pytest.approx(port[0], abs=1e-9)
-        assert receiver[1] == pytest.approx(port[1], abs=1e-9)
+        port, _, receiver = port_vs_ota_report(signal, assignment, BAND, [SU_TAU])
+        assert receiver.aclr_lower_db == pytest.approx(port.aclr_lower_db, abs=1e-9)
+        assert receiver.aclr_upper_db == pytest.approx(port.aclr_upper_db, abs=1e-9)
 
 
 def test_criterion_4_multi_user_distortion_directions():
@@ -143,12 +141,13 @@ def test_criterion_5_full_array_gain_at_user_directions():
 def test_criterion_6_aclr_and_evm_arithmetic():
     with criterion(6, "ACLR and EVM arithmetic"):
         _, y_small = unit_two_tone(0.01)
-        _, upper = aclr(y_small, BAND)
+        _, (upper,) = _aclr_rows(y_small.support, y_small.phasors, BAND)
         assert upper == pytest.approx(10 * np.log10(5.625e-5 / 2 / 1.04550625), abs=0.01)
-        _, y = unit_two_tone(0.1)
+        # the unit two-tone input is the EVM reference
+        x, y = unit_two_tone(0.1)
         wide = BandDefinition((7, 13), 4)
-        refs = [(9, 1.0, 0.0), (11, 1.0, 0.0)]
-        assert evm(y, refs, wide) == pytest.approx(0.075 / 1.225, rel=1e-9)
+        (value,) = _evm_rows(y.support, y.phasors, x.support, x.phasors, wide)
+        assert value == pytest.approx(0.075 / 1.225, rel=1e-9)
 
 
 def test_criterion_7_independent_noise_contrast():
@@ -163,8 +162,8 @@ def test_criterion_7_independent_noise_contrast():
         noisy = independent_noise_transmit(desired, cfg, 0)
         for m in range(2):
             for k in (13, 7):
-                assert noisy.per_antenna[m].line_power(k) == pytest.approx(
-                    signal.per_antenna[m].line_power(k), rel=1e-9
+                assert noisy.per_antenna[m].line_powers(k)[0] == pytest.approx(
+                    signal.per_antenna[m].line_powers(k)[0], rel=1e-9
                 )
 
 

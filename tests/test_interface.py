@@ -62,15 +62,12 @@ PUBLIC_NAMES = [
     "PRUNE_THRESHOLD",
     "SampledWaveform",
     "SteeringAssignment",
-    "aclr",
-    "add",
     "apply_polynomial",
     "array_gain",
     "band_filter",
     "delay_to_angle",
     "distortion_delays",
     "estimate_lines",
-    "evm",
     "far_field_receive",
     "fold_delay",
     "independent_noise_transmit",

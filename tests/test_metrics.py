@@ -16,16 +16,15 @@ from imdbeam import (
     LineSpectrum,
     MissingLineError,
     PolynomialNonlinearity,
-    aclr,
     apply_polynomial,
     array_gain,
-    evm,
     far_field_receive,
     port_vs_ota_report,
     steer_tones,
     tone,
     transmit,
 )
+from imdbeam.metrics import _aclr_rows, _evm_rows
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 BAND = BandDefinition((8, 12), 4)
@@ -72,7 +71,7 @@ class TestArrayGain:
         for theta in rng.uniform(0, 2 * np.pi, size=5):
             rotated = ArraySignal(
                 tuple(
-                    LineSpectrum(GRID, {9: s.coefficient(9) * np.exp(1j * theta)})
+                    LineSpectrum(GRID, {9: s.coefficients(9)[0] * np.exp(1j * theta)})
                     for s in sig.per_antenna
                 )
             )
@@ -98,25 +97,28 @@ class TestAclr:
     def test_worked_two_tone_value(self):
         # amplitudes 1.0225 in-band and 0.0075 per near product at alpha=0.01
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.third_order(0.01))
-        lower, upper = aclr(y, BAND)
+        (lower,), (upper,) = _aclr_rows(y.support, y.phasors, BAND)
         expected = 10 * np.log10((0.0075**2 / 2) / (2 * (1.0225**2 / 2)))
         assert upper == pytest.approx(expected, abs=1e-9)
         assert lower == pytest.approx(expected, abs=1e-9)
 
     def test_linear_device_is_clean(self):
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.identity())
-        assert aclr(y, BAND) == (float("-inf"), float("-inf"))
+        lower, upper = _aclr_rows(y.support, y.phasors, BAND)
+        assert lower.tolist() == upper.tolist() == [float("-inf")]
 
     def test_dc_line_carries_its_squared_amplitude(self):
         # a constant of amplitude 0.5 carries 0.25, a cosine of amplitude 1 0.5
         spectrum = LineSpectrum(GRID, {0: 0.5, 9: 0.5})
-        lower, upper = aclr(spectrum, BandDefinition((8, 12), 8))
+        band = BandDefinition((8, 12), 8)
+        (lower,), (upper,) = _aclr_rows(spectrum.support, spectrum.phasors, band)
         assert lower == pytest.approx(10 * np.log10(0.25 / 0.5), abs=1e-12)
         assert upper == float("-inf")
 
     def test_zero_in_band_power(self):
+        y = tone(GRID, 1.0, 20)
         with pytest.raises(ValueError):
-            aclr(tone(GRID, 1.0, 20), BAND)
+            _aclr_rows(y.support, y.phasors, BAND)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
     @pytest.mark.parametrize("tau", [0.0, 0.01, -0.02])
@@ -124,10 +126,9 @@ class TestAclr:
         geo = ArrayGeometry(2, 0.05)
         a = steer_tones(GRID, geo, {9: tau, 11: tau})
         sig = transmit(a, PolynomialNonlinearity.third_order(alpha), BAND)
-        port = aclr(sig.per_antenna[0], BAND)
-        rx = aclr(far_field_receive(sig, tau), BAND)
-        assert rx[0] == pytest.approx(port[0], abs=1e-9)
-        assert rx[1] == pytest.approx(port[1], abs=1e-9)
+        port, _, rx = port_vs_ota_report(sig, a, BAND, [tau])
+        assert rx.aclr_lower_db == pytest.approx(port.aclr_lower_db, abs=1e-9)
+        assert rx.aclr_upper_db == pytest.approx(port.aclr_upper_db, abs=1e-9)
 
     @pytest.mark.parametrize("plan", [(0.2, 0.3), (-0.1, 0.25)])
     def test_multi_user_receiver_improves(self, plan):
@@ -137,54 +138,58 @@ class TestAclr:
         geo = ArrayGeometry(2, 0.5)
         a = steer_tones(GRID, geo, {9: t1, 11: t2})
         sig = transmit(a, CUBIC, BAND)
-        port = aclr(sig.per_antenna[0], BAND)
-        for tau in (t1, t2):
-            rx = aclr(far_field_receive(sig, tau), BAND)
-            assert rx[0] < port[0]
-            assert rx[1] < port[1]
+        port, _, *at_users = port_vs_ota_report(sig, a, BAND, [t1, t2])
+        for rx in at_users:
+            assert rx.aclr_lower_db < port.aclr_lower_db
+            assert rx.aclr_upper_db < port.aclr_upper_db
 
 
 class TestEvm:
-    REFS = [(9, 1.0, 0.0), (11, 1.0, 0.0)]
+    # the unit two-tone input is the reference
+    REF = two_tone()
+
+    def evm(self, y, band, ref=REF):
+        (value,) = _evm_rows(y.support, y.phasors, ref.support, ref.phasors, band)
+        return value
 
     def test_linear_device_zero(self):
         y = apply_polynomial(two_tone(), PolynomialNonlinearity.identity())
-        assert evm(y, self.REFS, BAND) == 0.0
+        assert self.evm(y, BAND) == 0.0
 
     def test_products_outside_band_do_not_count(self):
         # with in_band [8, 12] the products at 7 and 13 hit the ACLR instead
         y = apply_polynomial(two_tone(), CUBIC)
-        assert evm(y, self.REFS, BAND) == 0.0
+        assert self.evm(y, BAND) == 0.0
 
     def test_products_declared_in_band(self):
         y = apply_polynomial(two_tone(), CUBIC)
         wide = BandDefinition((7, 13), 4)
-        assert evm(y, self.REFS, wide) == pytest.approx(0.075 / 1.225, rel=1e-9)
+        assert self.evm(y, wide) == pytest.approx(0.075 / 1.225, rel=1e-9)
 
     def test_scaling_invariance(self):
         y = apply_polynomial(two_tone(), CUBIC)
         wide = BandDefinition((7, 13), 4)
-        baseline_value = evm(y, self.REFS, wide)
+        baseline_value = self.evm(y, wide)
         g = 0.37 * np.exp(1.2j)
         scaled = LineSpectrum(
             GRID, {k: g * c for k, c in y.items() if k > 0}
         )
-        assert evm(scaled, self.REFS, wide) == pytest.approx(baseline_value, rel=1e-12)
+        assert self.evm(scaled, wide) == pytest.approx(baseline_value, rel=1e-12)
 
     def test_reference_outside_band_rejected(self):
         y = apply_polynomial(two_tone(), CUBIC)
         with pytest.raises(ValueError):
-            evm(y, [(7, 1.0, 0.0)], BAND)
+            self.evm(y, BAND, tone(GRID, 1.0, 7))
 
     def test_zero_reference_rejected(self):
         y = apply_polynomial(two_tone(), CUBIC)
         with pytest.raises(ValueError):
-            evm(y, [(9, 0.0, 0.0)], BAND)
+            self.evm(y, BAND, tone(GRID, 0.0, 9))
 
     def test_zero_fitted_signal_rejected(self):
         # only an unreferenced in-band line: the fitted gain is zero
         with pytest.raises(ValueError, match="observed in-band signal is zero"):
-            evm(tone(GRID, 1.0, 10), self.REFS, BAND)
+            self.evm(tone(GRID, 1.0, 10), BAND)
 
 
 class TestPortVsOtaReport:
@@ -256,9 +261,8 @@ def port_scenarios(draw):
 
 
 def loop_interval_power(spectrum, interval):
-    return sum(
-        spectrum.line_power(k) for k in spectrum.indices() if interval[0] <= k <= interval[1]
-    )
+    lo, hi = interval
+    return sum(spectrum.line_powers(k)[0] for k in spectrum.line_indices() if lo <= k <= hi)
 
 
 def loop_aclr(spectrum, band):
@@ -277,10 +281,10 @@ def loop_evm(spectrum, reference_tones, band):
     for k, amp, phase in reference_tones:
         refs[k] = refs.get(k, 0j) + 0.5 * amp * cmath.exp(1j * phase)
     ref_power = sum(abs(c) ** 2 for c in refs.values())
-    g = sum(refs[k].conjugate() * spectrum.coefficient(k) for k in refs) / ref_power
+    g = sum(refs[k].conjugate() * spectrum.coefficients(k)[0] for k in refs) / ref_power
     lo, hi = band.in_band
-    in_band = set(refs) | {k for k in spectrum.indices() if lo <= k <= hi}
-    err = sum(abs(spectrum.coefficient(k) - g * refs.get(k, 0j)) ** 2 for k in in_band)
+    in_band = set(refs) | {k for k in spectrum.line_indices() if lo <= k <= hi}
+    err = sum(abs(spectrum.coefficients(k)[0] - g * refs.get(k, 0j)) ** 2 for k in in_band)
     sig = sum(abs(g * c) ** 2 for c in refs.values())
     if sig == 0.0:
         raise ValueError("observed in-band signal is zero")
@@ -291,12 +295,12 @@ def assert_same_metric(got, expected):
     assert got == expected or got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-class TestReportMatchesScalarMetrics:
+class TestReportMatchesLoopMetrics:
     @settings(max_examples=60, deadline=None)
     @given(port_scenarios())
-    def test_matrix_metrics_equal_per_spectrum_metrics(self, scenario):
-        # the matrix path against the scalar evm and aclr on each port's (and
-        # each received) spectrum, and both against Python loops over lines
+    def test_matrix_metrics_equal_loop_metrics(self, scenario):
+        # the matrix path against Python loops over the lines of each port's
+        # (and each received) spectrum
         assignment, f, band, directions = scenario
         sig = transmit(assignment, f, band)
         s = assignment
@@ -314,11 +318,9 @@ class TestReportMatchesScalarMetrics:
             with pytest.raises(ValueError):
                 port_vs_ota_report(sig, assignment, band, directions)
             return
-        scalar = [(evm(spec, r, band), *aclr(spec, band)) for spec, r in located]
         reports = port_vs_ota_report(sig, assignment, band, directions)
         assert len(reports) == len(expected)
-        for report, one_row, reference in zip(reports, scalar, expected):
+        for report, reference in zip(reports, expected):
             got = (report.evm, report.aclr_lower_db, report.aclr_upper_db)
-            for a, b, c in zip(got, one_row, reference):
+            for a, b in zip(got, reference):
                 assert_same_metric(a, b)
-                assert_same_metric(b, c)

@@ -14,7 +14,6 @@ from imdbeam import (
     LeakageError,
     LineSpectrum,
     SampledWaveform,
-    add,
     estimate_lines,
     sample_waveform,
     tone,
@@ -26,11 +25,11 @@ GRID = FrequencyGrid(2 * np.pi, 64)
 
 def random_spectrum(rng, grid=GRID, max_lines=6):
     ks = rng.choice(np.arange(1, grid.max_index + 1), size=max_lines, replace=False)
-    terms = [
-        (int(k), float(rng.uniform(0.1, 2.0)), float(rng.uniform(-np.pi, np.pi)))
+    tones = (
+        tone(grid, float(rng.uniform(0.1, 2.0)), int(k), float(rng.uniform(-np.pi, np.pi)))
         for k in ks
-    ]
-    return LineSpectrum.from_real_tones(grid, terms)
+    )
+    return sum(tones, LineSpectrum(grid))
 
 
 class TestGrid:
@@ -52,17 +51,17 @@ class TestGrid:
 class TestTone:
     def test_cosine_phasor_decomposition(self):
         s = tone(GRID, 1.0, 9, 0.0)
-        assert s.coefficient(9) == 0.5
-        assert s.coefficient(-9) == 0.5
-        assert s.indices() == (9,)
+        assert s.coefficients(9)[0] == 0.5
+        assert s.coefficients(-9)[0] == 0.5
+        assert s.line_indices() == (9,)
 
     def test_phase_rotation(self):
         s = tone(GRID, 1.0, 11, np.pi / 2)
-        assert s.coefficient(11) == pytest.approx(0.5j, abs=1e-15)
-        assert s.coefficient(-11) == pytest.approx(-0.5j, abs=1e-15)
+        assert s.coefficients(11)[0] == pytest.approx(0.5j, abs=1e-15)
+        assert s.coefficients(-11)[0] == pytest.approx(-0.5j, abs=1e-15)
 
     def test_zero_amplitude_prunes_to_empty(self):
-        assert tone(GRID, 0.0, 9, 0.3).is_empty
+        assert not tone(GRID, 0.0, 9, 0.3).line_indices()
 
     def test_amplitude_and_phase_readback(self):
         s = tone(GRID, 1.7, 5, 0.4)
@@ -81,13 +80,23 @@ class TestTone:
         with pytest.raises(ValueError):
             tone(GRID, -1.0, 9)
 
+    @pytest.mark.parametrize(
+        "amplitude, phase",
+        [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.inf), (1.0, np.nan)],
+        ids=["nan-amplitude", "inf-amplitude", "inf-phase", "nan-phase"],
+    )
+    def test_non_finite_rejected(self, amplitude, phase):
+        # rejected before numpy computes (and warns about) a NaN coefficient
+        with pytest.raises(ValueError, match="finite"):
+            tone(GRID, amplitude, 9, phase)
+
 
 class TestAdd:
     def test_two_tone_superposition(self):
-        s = add(tone(GRID, 1.0, 9), tone(GRID, 1.0, 11))
-        assert s.indices() == (9, 11)
-        assert s.coefficient(9) == 0.5
-        assert s.coefficient(11) == 0.5
+        s = tone(GRID, 1.0, 9) + tone(GRID, 1.0, 11)
+        assert s.line_indices() == (9, 11)
+        assert s.coefficients(9)[0] == 0.5
+        assert s.coefficients(11)[0] == 0.5
 
     def test_additive_identity(self):
         s = tone(GRID, 1.0, 9, 0.2)
@@ -95,7 +104,7 @@ class TestAdd:
 
     def test_cancellation(self):
         s = tone(GRID, 1.0, 9, 0.0) + tone(GRID, 1.0, 9, np.pi)
-        assert s.is_empty
+        assert not s.line_indices()
 
     def test_grid_mismatch(self):
         other = FrequencyGrid(1.0, 64)
@@ -122,13 +131,13 @@ class TestConstruction:
 
     def test_one_sided_input_mirrored(self):
         s = LineSpectrum(GRID, {3: 1.0 + 2.0j})
-        assert s.coefficient(-3) == 1.0 - 2.0j
+        assert s.coefficients(-3)[0] == 1.0 - 2.0j
 
     def test_dc_must_be_real(self):
         with pytest.raises(ValueError, match="zero-frequency"):
             LineSpectrum(GRID, {0: 1.0 + 1.0j})
         s = LineSpectrum(GRID, {0: 2.0})
-        assert s.line_power(0) == pytest.approx(4.0)
+        assert s.line_powers(0)[0] == pytest.approx(4.0)
 
     def test_immutable(self):
         s = tone(GRID, 1.0, 9)
@@ -137,7 +146,7 @@ class TestConstruction:
 
     def test_prune_threshold(self):
         s = LineSpectrum(GRID, {3: 1e-15})
-        assert s.is_empty
+        assert not s.line_indices()
 
     def test_superpose_of_distinct_sorted_lines_is_a_new_matrix(self):
         # such lines skip the merge but not the copy, since _store writes
@@ -149,15 +158,23 @@ class TestConstruction:
         assert lines.tolist() == [3, 5]
         assert merged.tobytes() == reference.tobytes()
 
-    def test_negative_tone_index_rejected(self):
-        with pytest.raises(GridRangeError):
-            LineSpectrum.from_real_tones(GRID, [(9, 1.0, 0.0), (-1, 1.0, 0.0)])
+    def test_non_finite_mapping_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LineSpectrum(GRID, {9: np.nan})
+
+    def test_non_finite_phasor_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            LineSpectrum.from_phasors(GRID, [9, 11], [[1.0, complex(0.0, np.inf)]])
+
+    def test_scaled_by_nan_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            tone(GRID, 1.0, 9).scaled(np.nan)
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda: LineSpectrum(GRID, {9.5: 1.0}),
-            lambda: LineSpectrum.from_real_tones(GRID, [(9.5, 1.0, 0.0)]),
+            lambda: tone(GRID, 1.0, 9.5),
             lambda: LineSpectrum.from_phasors(GRID, [9.7], [[1.0]]),
             lambda: LineSpectrum.from_phasors(GRID, [True], [[1.0]]),
             lambda: LineSpectrum.from_phasors(GRID, [np.nan], [[1.0]]),
@@ -165,19 +182,20 @@ class TestConstruction:
             # numpy would cast a bool among numbers to line 1
             lambda: LineSpectrum.from_phasors(GRID, [9, True], [[1.0, 1.0]]),
             lambda: LineSpectrum.from_phasors(GRID, [9.0, True], [[1.0, 1.0]]),
-            lambda: LineSpectrum.from_real_tones(GRID, [(9, 1.0, 0.0), (True, 1.0, 0.0)]),
+            # int(True) == True, so tone would otherwise build line 1
+            lambda: tone(GRID, 1.0, True),
             lambda: LineSpectrum(GRID, {True: 1.0}),
         ],
         ids=[
             "mapping",
-            "real-tones",
+            "tone",
             "phasors",
             "bool",
             "nan",
             "float-array",
             "int-and-bool",
             "float-and-bool",
-            "real-tones-bool",
+            "tone-bool",
             "mapping-bool",
         ],
     )
@@ -195,7 +213,7 @@ class TestPower:
     def test_line_power_convention(self):
         # a cosine of amplitude A carries mean-square power A**2/2
         s = tone(GRID, 2.0, 9)
-        assert s.line_power(9) == pytest.approx(2.0)
+        assert s.line_powers(9)[0] == pytest.approx(2.0)
         assert s.total_power() == pytest.approx(2.0)
 
     def test_parseval_against_samples(self):
@@ -230,6 +248,17 @@ class TestSampleWaveform:
         with pytest.raises(ValueError):
             sample_waveform(tone(GRID, 1.0, 9), 0, 256)
 
+    @pytest.mark.parametrize(
+        "periods, samples_per_period, field",
+        [(1, 200.5, "samples_per_period"), (True, 256, "periods"), (1.5, 256, "periods")],
+        ids=["fractional-samples", "bool-periods", "fractional-periods"],
+    )
+    def test_non_whole_arguments_rejected_at_the_call(self, periods, samples_per_period, field):
+        # 200.5 would give 200 samples at a rate that is not coherent, which
+        # estimate_lines would only reject later as leakage
+        with pytest.raises(ValueError, match=field):
+            sample_waveform(tone(GRID, 1.0, 9), periods, samples_per_period)
+
     def test_bad_sample_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
             SampledWaveform(np.zeros(8), 0.0)
@@ -257,13 +286,13 @@ class TestEstimateLines:
         est = estimate_lines(sample_waveform(y, 1, 256), GRID)
         expected = {9: 1.225, 11: 1.225, 13: 0.075, 7: 0.075,
                     31: 0.075, 29: 0.075, 27: 0.025, 33: 0.025}
-        assert est.indices() == tuple(sorted(expected))
+        assert est.line_indices() == tuple(sorted(expected))
         for k, amp in expected.items():
             assert est.amplitude(k) == pytest.approx(amp, rel=1e-9)
 
     def test_all_zero_samples(self):
         w = SampledWaveform(np.zeros(256), 256 / GRID.fundamental_period)
-        assert estimate_lines(w, GRID).is_empty
+        assert not estimate_lines(w, GRID).line_indices()
 
     def test_round_trip_property(self):
         rng = np.random.default_rng(11)
@@ -299,7 +328,7 @@ class TestEvaluate:
     def test_scaled(self):
         s = tone(GRID, 1.0, 9, 0.2)
         assert s.scaled(2.0).amplitude(9) == pytest.approx(2.0)
-        assert s.scaled(-1.0).coefficient(9) == -s.coefficient(9)
+        assert s.scaled(-1.0).coefficients(9)[0] == -s.coefficients(9)[0]
 
 
 SMALL_GRID = FrequencyGrid(2 * np.pi, 16)
@@ -381,8 +410,8 @@ class TestAgainstDictReference:
         t = np.linspace(0.0, 1.0, 7)
         for got, ref in ((a, ref_a), (a + b, ref_a + ref_b), (a.scaled(factor), ref_a.scaled(factor))):
             assert list(got.items()) == ref.items()
-            assert got.indices() == tuple(k for k, _ in ref.items() if k >= 0)
+            assert got.line_indices() == tuple(k for k, _ in ref.items() if k >= 0)
             for k in range(-SMALL_GRID.max_index, SMALL_GRID.max_index + 1):
-                assert got.line_power(k) == ref.line_power(k)
-                assert got.coefficient(k) == ref.lines.get(k, 0j)
+                assert got.line_powers(k)[0] == ref.line_power(k)
+                assert got.coefficients(k)[0] == ref.lines.get(k, 0j)
             np.testing.assert_array_equal(got.evaluate(t), ref.evaluate(t))
