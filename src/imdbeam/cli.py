@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -377,7 +378,7 @@ def config_to_jsonable(cfg: ScenarioConfig) -> dict:
         "band": cfg.band,
         "baseline": cfg.baseline,
     }
-    doc = {name: dataclasses.asdict(x) for name, x in sections.items() if x is not None}
+    doc = {name: _fields(x) for name, x in sections.items() if x is not None}
     doc["tones"] = [
         {"index": k, "amplitude": a, "phase": phase}
         for k, a, phase in zip(s.tone_indices, s.amplitudes, s.base_phases)
@@ -389,9 +390,14 @@ def config_to_jsonable(cfg: ScenarioConfig) -> dict:
     return doc
 
 
-def config_hash(cfg: ScenarioConfig) -> str:
-    canonical = json.dumps(config_to_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+def _sha256(config: dict) -> str:
+    """The hash of a config's canonical JSON form (:func:`config_to_jsonable`)."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def config_hash(cfg: ScenarioConfig) -> str:
+    return _sha256(config_to_jsonable(cfg))
 
 
 # --------------------------------------------------------------------------
@@ -516,16 +522,38 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a dataclass, read from ``dataclasses`` once per class."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _marker(value):
+    """A non-finite float as its string marker (``"-inf"``), any other value
+    as it is: the report's one rule for non-finite floats."""
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _marked(values: list) -> list:
+    """:func:`_marker` of each of ``values``.  A list with no non-finite
+    float is returned itself, after passes in C."""
+    floats = itertools.compress(values, map(isinstance, values, itertools.repeat(float)))
+    return values if all(map(math.isfinite, floats)) else list(map(_marker, values))
+
+
 def _fields(x, *drop: str) -> dict:
-    """A dataclass's fields by name, less those in ``drop``.  A non-finite
-    float field becomes its string marker (``"-inf"``); other values are left
-    as they are.  ``_dumps`` also calls it on every nested dataclass, so the
-    rest of a document must already be JSON: string keys, finite floats."""
-    doc = {f.name: getattr(x, f.name) for f in dataclasses.fields(x) if f.name not in drop}
-    for name, v in doc.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            doc[name] = str(v)
-    return doc
+    """A dataclass's fields by name, less those in ``drop``, each under
+    :func:`_marker`.  ``_dumps`` also calls it on every nested dataclass, so
+    the rest of a document must already be JSON: string keys, finite floats."""
+    return {name: _marker(getattr(x, name)) for name in _field_names(type(x)) if name not in drop}
+
+
+def _rows(cls, items, *drop: str) -> list[dict]:
+    """:func:`_fields` of each ``cls`` in ``items``, gathered one field at a
+    time across ``items``, so that the marker rule runs once per column."""
+    names = [name for name in _field_names(cls) if name not in drop]
+    columns = [_marked([getattr(x, name) for x in items]) for name in names]
+    return [dict(zip(names, row)) for row in zip(*columns)]
 
 
 def _dumps(doc) -> str:
@@ -564,15 +592,16 @@ def _baseline_jsonable(bundle: ReportBundle) -> dict:
 
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
     cfg = bundle.config
+    config = config_to_jsonable(cfg)
     return {
         "provenance": {
-            "config_sha256": config_hash(cfg),
+            "config_sha256": _sha256(config),
             "version": __version__,
             "seed": cfg.seed,
         },
         "steering": _fields(cfg.steering, "grid", "geometry"),
         "distortion_directions": bundle.distortion,
-        "ports": [_fields(r, "array_gain_by_line") for r in bundle.ports],
+        "ports": _rows(MetricsReport, bundle.ports, "array_gain_by_line"),
         # line indices as strings: sort_keys would order int keys by number
         "directions": [
             {"tau": d.tau, "kind": d.kind, **_fields(d.report)}
@@ -584,7 +613,7 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
         ],
         "notes": bundle.notes,
         "baseline": None if cfg.baseline is None else _baseline_jsonable(bundle),
-        "config": config_to_jsonable(cfg),
+        "config": config,
     }
 
 

@@ -175,7 +175,7 @@ def two_tone_third_order_terms(
     zero-amplitude terms are omitted, so ``alpha = 0`` yields just the two
     unit fundamentals.
     """
-    if int(k1) != k1 or int(k2) != k2 or k1 < 1:
+    if not (_is_whole(k1) and _is_whole(k2)) or k1 < 1:
         raise GridRangeError("tone indices must be positive integers")
     if not k1 < k2:
         raise ValueError("tone indices must satisfy k1 < k2")

@@ -2,6 +2,8 @@
 command-line entry point."""
 
 import copy
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -18,6 +20,8 @@ from imdbeam.cli import (
     MAX_SWEEP_ELEMENTS,
     ScenarioConfig,
     _build_parser,
+    _dumps,
+    bundle_to_jsonable,
     config_hash,
     config_to_jsonable,
     emit,
@@ -54,6 +58,25 @@ def multi_user_config(**overrides):
 
 def parse(doc) -> ScenarioConfig:
     return parse_config(json.dumps(doc))
+
+
+def asdict_config_echo(cfg: ScenarioConfig) -> dict:
+    """The config echo with each flat section built by ``dataclasses.asdict``:
+    the reference for the sections ``config_to_jsonable`` writes."""
+    sections = {
+        "grid": cfg.steering.grid,
+        "geometry": cfg.steering.geometry,
+        "nonlinearity": cfg.device,
+        "band": cfg.band,
+        "baseline": cfg.baseline,
+    }
+    asdict = {name: dataclasses.asdict(x) for name, x in sections.items() if x is not None}
+    return config_to_jsonable(cfg) | asdict
+
+
+def canonical_sha256(doc: dict) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestParseConfig:
@@ -326,6 +349,20 @@ class TestParseConfig:
             assert again == cfg
             assert config_hash(again) == config_hash(cfg)
 
+    def test_readme_config_echo_and_hash_match_the_asdict_reference(self):
+        cfg = parse(
+            multi_user_config(
+                baseline={"trials": 10000}, sweep_points=1024, seed=1234, output_dir="results"
+            )
+        )
+        reference = asdict_config_echo(cfg)
+        report = bundle_to_jsonable(run_scenario(cfg))
+        assert json.dumps(report["config"], sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+        assert report["provenance"]["config_sha256"] == canonical_sha256(reference)
+        assert config_hash(cfg) == canonical_sha256(reference)
+
     def test_hash_changes_with_config(self):
         a = parse(base_config())
         b = parse(base_config(seed=1))
@@ -418,6 +455,16 @@ class TestConfigProperties:
         again = parse_config(json.dumps(config_to_jsonable(cfg)))
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(config_docs())
+    def test_config_echo_matches_the_asdict_reference(self, doc):
+        cfg = parse(doc)
+        reference = asdict_config_echo(cfg)
+        assert json.dumps(config_to_jsonable(cfg), sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+        assert config_hash(cfg) == canonical_sha256(reference)
 
     @settings(max_examples=300, deadline=None)
     @given(config_docs(), st.data())
@@ -558,6 +605,48 @@ def row_formatted_csv(pattern) -> str:
     for tau, p in zip(pattern.taus.tolist(), pattern.powers.tolist()):
         rows.append(f"{tau:.12g},{p:.12g}")
     return "\n".join(rows) + "\n"
+
+
+def port_row_reference(reports) -> list[dict]:
+    """``dataclasses.asdict`` of each port report less its array gains, with
+    each non-finite float as its string."""
+    rows = []
+    for report in reports:
+        row = dataclasses.asdict(report)
+        del row["array_gain_by_line"]
+        for k, v in row.items():
+            if isinstance(v, float) and not math.isfinite(v):
+                row[k] = str(v)
+        rows.append(row)
+    return rows
+
+
+class TestPortRows:
+    def assert_rows_match_reference(self, doc) -> list[dict]:
+        bundle = run_scenario(parse(doc))
+        rows = bundle_to_jsonable(bundle)["ports"]
+        reference = port_row_reference(bundle.ports)
+        assert len(rows) == bundle.config.steering.geometry.num_antennas
+        assert rows == reference
+        assert _dumps(rows) == _dumps(reference)
+        return reference
+
+    def test_multi_user_rows(self):
+        geometry = {"num_antennas": 64, "element_delay": 0.5}
+        rows = self.assert_rows_match_reference(dict(multi_user_config(), geometry=geometry))
+        assert all(isinstance(row["aclr_lower_db"], float) for row in rows)
+
+    def test_linear_device_rows_carry_the_marker(self):
+        # a linear device leaves both adjacent bands clean: every ACLR is -inf
+        doc = base_config(
+            nonlinearity={"coefficients": [1.0]},
+            geometry={"num_antennas": 3, "element_delay": 1.0 / 26.0},
+            sweep_points=64,
+        )
+        rows = self.assert_rows_match_reference(doc)
+        assert {row[side] for row in rows for side in ("aclr_lower_db", "aclr_upper_db")} == {
+            "-inf"
+        }
 
 
 class TestEmit:

@@ -2,6 +2,8 @@
 table, and the transmit-chain band filter, cross-checked against a
 time-domain oracle (pointwise polynomial on coherent samples, then DFT)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,16 @@ class TestTwoToneThirdOrderTerms:
             two_tone_third_order_terms(11, 9, 0.0, 0.0, 0.1)
         with pytest.raises(GridRangeError):
             two_tone_third_order_terms(0, 9, 0.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "k1, k2",
+        [(True, 11), (math.nan, 11), (9, math.inf)],
+        ids=["bool-index", "nan-index", "infinite-index"],
+    )
+    def test_non_whole_index_rejected(self, k1, k2):
+        # a bool is no line index, and NaN or infinity has no integer value
+        with pytest.raises(GridRangeError, match="positive integers"):
+            two_tone_third_order_terms(k1, k2, 0.0, 0.0, 0.1)
 
 
 class TestThreeWayEquivalence:
