@@ -15,7 +15,10 @@ spaced evenly (so E[e^{i phi}] = E[e^{2i phi}] = 0); its phasor is a lookup.
 The trial-averaged pattern is a quadratic form in the per-trial coefficient
 vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
 ``mean_pattern`` assembles ``G`` from phasor sums taken serially over fixed
-trial chunks, in chunk order, and sweeps its lag sums by one chirp-z.
+trial chunks, in chunk order, and sweeps its lag sums by one chirp-z.  Each
+chunk adds one real symmetric rank-k update (BLAS ``syrk``) on the real view
+of its unit phasors, and, unless the desired line is exactly zero, their
+column sums.
 """
 
 from dataclasses import dataclass
@@ -158,9 +161,14 @@ def mean_pattern(
     ``freq_index``.
 
     Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
-    order, so the result is bit-identical on every run.  The unit phasors'
-    sums and Gram matrix give the covariance ``sum_t conj(c_t) c_t^T`` once;
-    its lag sums are swept once, by chirp-z, at M**2 plus FFT cost.
+    order, so the result is bit-identical on every run.  Each chunk adds
+    ``R^T R`` for the ``2 * M``-column real view ``R`` of its unit phasors,
+    one BLAS ``syrk`` with no copy; the 2 x 2 blocks of the sum give their
+    Gram matrix once.  Their sums, and the cross terms they carry, are taken
+    only when some desired coefficient at ``freq_index`` is nonzero; at a
+    zero line both are exactly zero.  The covariance
+    ``sum_t conj(c_t) c_t^T`` follows once, and its lag sums are swept once,
+    by chirp-z, at M**2 plus FFT cost.
     """
     if freq_index not in cfg.distortion_line_indices:
         raise ValueError(f"index {freq_index} is not a configured distortion line")
@@ -168,16 +176,30 @@ def mean_pattern(
     m_count = geometry.num_antennas
     c_des = desired.coefficients(freq_index)
     antennas = np.arange(m_count)
-    sums, gram = np.zeros(m_count, complex), np.zeros((m_count, m_count), complex)
+    # a zero desired line has no cross terms, so its phasor sums go unused
+    coherent = bool(np.any(c_des))
+    sums = np.zeros(m_count, complex)
+    # Gram matrix of the phasors' real view, whose columns are Re u_0, Im u_0,
+    # Re u_1, ...: an array times its own transpose is one BLAS syrk
+    real_gram = np.zeros((2 * m_count, 2 * m_count))
+    update = np.empty_like(real_gram)
     for lo in range(0, cfg.trials, TRIAL_CHUNK):
         trials = np.arange(lo, min(lo + TRIAL_CHUNK, cfg.trials))
         unit = _noise(cfg, trials[:, None], antennas, freq_index)
-        sums += unit.sum(axis=0)
-        gram += unit.conj().T @ unit
+        if coherent:
+            sums += unit.sum(axis=0)
+        re_im = unit.view(np.float64)
+        real_gram += np.matmul(re_im.T, re_im, out=update)
+    # sum_t conj(u_t) u_t^T from the 2 x 2 blocks of real_gram
+    re, im = real_gram[0::2], real_gram[1::2]
+    total = np.empty((m_count, m_count), complex)
+    np.add(re[:, 0::2], im[:, 1::2], out=total.real)
+    np.subtract(re[:, 1::2], im[:, 0::2], out=total.imag)
     magnitude = cfg.magnitude(freq_index)
-    cross = np.outer(c_des.conj(), magnitude * sums)
-    total = cfg.trials * np.outer(c_des.conj(), c_des) + cross + cross.conj().T
-    total += magnitude**2 * gram
+    total *= magnitude**2
+    if coherent:
+        cross = np.outer(c_des.conj(), magnitude * sums)
+        total += cfg.trials * np.outer(c_des.conj(), c_des) + cross + cross.conj().T
     # with h_d = sum_m G[m + d, m] and h_0 halved, s^H G s = 2 Re sum_d h_d e^{i d omega tau}
     # is >= 0 exactly, so a negative value is rounding near a null
     lags = np.subtract.outer(antennas, antennas)

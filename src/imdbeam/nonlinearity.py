@@ -167,8 +167,9 @@ def two_tone_third_order_terms(
 ) -> list[tuple[int, float, float]]:
     """Closed-form term table for a unit two-tone through ``x + alpha*x**3``.
 
-    Returns ``(index, amplitude, phase)`` triples where ``amplitude`` is the
-    signed cosine coefficient: the fundamentals scaled by ``1 + 9*alpha/4``,
+    Returns ``(index, amplitude, phase)`` triples, each index an ``int``
+    whatever whole-number type the tone indices have, where ``amplitude`` is
+    the signed cosine coefficient: the fundamentals scaled by ``1 + 9*alpha/4``,
     four mixing products at ``3*alpha/4`` and the two third harmonics at
     ``alpha/4``.  A negative difference index ``k2 - 2*k1`` is folded to its
     positive mirror with the phase negated (the signal is real), and
@@ -179,6 +180,7 @@ def two_tone_third_order_terms(
         raise GridRangeError("tone indices must be positive integers")
     if not k1 < k2:
         raise ValueError("tone indices must satisfy k1 < k2")
+    k1, k2 = int(k1), int(k2)
     # scaled by exact binary fractions, so no product overflows before a division
     a_fund = 1.0 + 2.25 * alpha
     a_mix = 0.75 * alpha

@@ -404,9 +404,18 @@ class TestCovarianceSweep:
         m_count=8, trials=2 * TRIAL_CHUNK + 7, power=0.0, des_re=0.3, des_im=0.4,
         null_at=None, seed=-(2**63),
     )
+    # a zero desired line, which skips the phasor sums, over several chunks
+    @example(
+        m_count=8, trials=2 * TRIAL_CHUNK + 7, power=0.003, des_re=0.0, des_im=0.0,
+        null_at=None, seed=7,
+    )
     # fewer trials than antennas
     @example(
         m_count=8, trials=3, power=0.003, des_re=0.6, des_im=-0.2, null_at=None, seed=11
+    )
+    # fewer trials than the 2 * m_count real columns: a rank-deficient update
+    @example(
+        m_count=8, trials=5, power=2.0, des_re=-0.4, des_im=0.9, null_at=None, seed=3
     )
     # a desired null on a sweep point, where rounding of the quadratic form
     # gave a negative power
@@ -430,6 +439,16 @@ class TestCovarianceSweep:
         assert np.array_equal(mp.taus, taus)
         ref = _direct_mean_powers(cfg, desired, geometry, 13, taus)
         assert np.all(mp.powers >= 0.0)
+        np.testing.assert_allclose(mp.powers, ref, rtol=0, atol=1e-12 * ref.max())
+
+    def test_wide_array_with_zero_desired_line_matches_direct(self):
+        # 64 antennas and three chunks: the sized case of every benchmark
+        # product line, whose desired coefficients are all zero
+        geometry = ArrayGeometry(64, 1.0 / 26.0)
+        desired = ArraySignal.from_phasors(GRID, [13], np.zeros((64, 1)))
+        cfg = NoiseModelConfig((13,), 0.003, 2 * TRIAL_CHUNK + 3, 21)
+        mp = mean_pattern(cfg, desired, geometry, 13, self.POINTS)
+        ref = _direct_mean_powers(cfg, desired, geometry, 13, mp.taus)
         np.testing.assert_allclose(mp.powers, ref, rtol=0, atol=1e-12 * ref.max())
 
     def test_wide_array_with_few_trials_matches_direct(self):

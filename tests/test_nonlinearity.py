@@ -166,6 +166,14 @@ class TestTwoToneThirdOrderTerms:
             two_tone_third_order_terms(0, 9, 0.0, 0.0, 0.1)
 
     @pytest.mark.parametrize(
+        "k1, k2", [(9.0, 11.0), (np.int64(9), np.int64(11))], ids=["float", "int64"]
+    )
+    def test_whole_indices_come_back_as_int(self, k1, k2):
+        terms = two_tone_third_order_terms(k1, k2, 0.0, 0.0, 0.1)
+        assert terms == two_tone_third_order_terms(9, 11, 0.0, 0.0, 0.1)
+        assert [type(k) for k, _, _ in terms] == [int] * 8
+
+    @pytest.mark.parametrize(
         "k1, k2",
         [(True, 11), (math.nan, 11), (9, math.inf)],
         ids=["bool-index", "nan-index", "infinite-index"],
