@@ -9,16 +9,18 @@ Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11): every
 draw is a pure function of (seed, trial, antenna, line), which makes results
 reproducible across platforms and orderings.  The hash chains the four 64-bit
 key words through splitmix64 steps in numpy ``uint64`` arithmetic, so one call
-draws the phases of a whole trial chunk.  A phase is one of 2**16 points
-spaced evenly (so E[e^{i phi}] = E[e^{2i phi}] = 0); its phasor is a lookup.
+draws the phases of a whole trial chunk.  The last, full-size step runs in
+place and skips the finaliser's closing xor-shift, which leaves the top 33
+bits unchanged.  A phase is one of 2**16 points spaced evenly (so
+E[e^{i phi}] = E[e^{2i phi}] = 0); its phasor is a lookup.
 
 The trial-averaged pattern is a quadratic form in the per-trial coefficient
 vectors, ``sum_t |c_t . s|^2 = s^H G s`` with ``G = sum_t conj(c_t) c_t^T``;
 ``mean_pattern`` assembles ``G`` from phasor sums taken serially over fixed
 trial chunks, in chunk order, and sweeps its lag sums by one chirp-z.  Each
-chunk adds one real symmetric rank-k update (BLAS ``syrk``) on the real view
-of its unit phasors, and, unless the desired line is exactly zero, their
-column sums.
+chunk's unit phasors are gathered into one reused buffer, and the chunk adds
+one real symmetric rank-k update (BLAS ``syrk``) on their real view and,
+unless the desired line is exactly zero, their column sums.
 """
 
 from dataclasses import dataclass
@@ -92,7 +94,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _phase_from_hash(h: np.ndarray) -> np.ndarray:
     """Top ``PHASE_BITS`` bits of a ``uint64`` hash as ``index * PHASE_STEP``;
     the largest hash maps to ``TWO_PI - PHASE_STEP``."""
-    return (h >> (64 - PHASE_BITS)).astype(np.float64) * PHASE_STEP
+    phase = (h >> (64 - PHASE_BITS)).astype(np.float64)
+    phase *= PHASE_STEP
+    return phase
 
 
 @cache
@@ -109,25 +113,41 @@ def uniform_phase(seed, trial, antenna, line):
     other: the result has their broadcast shape (a float for four scalars),
     and every element equals the scalar call on its coordinate.  The
     words are absorbed in the order seed, line, trial, antenna, each by one
-    splitmix64 step ``h <- mix64(((h ^ word) + 1) * GAMMA)``.
+    splitmix64 step ``h <- mix64(((h ^ word) + 1) * GAMMA)``.  The last step
+    skips mix64's closing ``z ^ (z >> 31)``: it leaves the top 33 bits
+    unchanged, and the phase is read from the top ``PHASE_BITS`` alone.
     """
     keys = (seed, line, trial, antenna)
     shape = np.broadcast_shapes(*(np.shape(k) for k in keys))
     # h stays an array of at least one element: uint64 ufuncs wrap silently
     # on arrays, while operations on numpy scalars warn on overflow
     h = np.zeros(1, np.uint64)
-    for k in keys:
+    for k in keys[:-1]:
         word = np.asarray(k, np.int64).view(np.uint64)
         h = _mix64((h ^ word) * _GAMMA + _GAMMA)
-    return _phase_from_hash(h).reshape(shape)[()]
+    # the last step, in place on the one full-size array h ^ word, stops before
+    # mix64's closing z ^ (z >> 31), which cannot change the top PHASE_BITS
+    z = h ^ np.asarray(keys[-1], np.int64).view(np.uint64)
+    z *= _GAMMA
+    z += _GAMMA
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    return _phase_from_hash(z).reshape(shape)[()]
 
 
-def _noise(cfg: NoiseModelConfig, trial, antenna, line):
+def _noise(cfg: NoiseModelConfig, trial, antenna, line, out=None):
     """Unit phasor ``exp(1j * uniform_phase(...))`` of the noise at each
     (trial, antenna, line) key, read from the phasor table; the keys broadcast
-    as in :func:`uniform_phase`."""
-    index = np.rint(uniform_phase(cfg.seed, trial, antenna, line) / PHASE_STEP)
-    return _phasor_table()[index.astype(np.intp)]
+    as in :func:`uniform_phase`.  The phases are turned back into table
+    indices in place.  ``out``, if given, is a complex array of the keys'
+    broadcast shape that receives the phasors and is returned."""
+    phase = np.asarray(uniform_phase(cfg.seed, trial, antenna, line))
+    index = np.rint(np.divide(phase, PHASE_STEP, out=phase), out=phase)
+    # every index lies in [0, 2**PHASE_BITS), so "wrap" never wraps; with
+    # out given, the default "raise" gathers through a temporary copy
+    return np.take(_phasor_table(), index.astype(np.intp), out=out, mode="wrap")
 
 
 def independent_noise_transmit(
@@ -150,6 +170,16 @@ def independent_noise_transmit(
     )
 
 
+def _lag_sums(g: np.ndarray) -> np.ndarray:
+    """``h_d = sum_m g[m + d, m]`` for ``d = 0 .. M - 1`` of a square ``g``,
+    each summed in order of ``m`` from zero, one column of ``g`` at a time."""
+    m_count = g.shape[0]
+    h = np.zeros(m_count, g.dtype)
+    for m in range(m_count):
+        h[: m_count - m] += g[m:, m]
+    return h
+
+
 def mean_pattern(
     cfg: NoiseModelConfig,
     desired: ArraySignal,
@@ -161,9 +191,10 @@ def mean_pattern(
     ``freq_index``.
 
     Trials are summed serially in fixed ``TRIAL_CHUNK`` chunks, in chunk
-    order, so the result is bit-identical on every run.  Each chunk adds
-    ``R^T R`` for the ``2 * M``-column real view ``R`` of its unit phasors,
-    one BLAS ``syrk`` with no copy; the 2 x 2 blocks of the sum give their
+    order, so the result is bit-identical on every run.  Each chunk gathers
+    its unit phasors into the leading rows of one buffer allocated per call
+    and adds ``R^T R`` for the ``2 * M``-column real view ``R`` of them, one
+    BLAS ``syrk`` with no copy; the 2 x 2 blocks of the sum give their
     Gram matrix once.  Their sums, and the cross terms they carry, are taken
     only when some desired coefficient at ``freq_index`` is nonzero; at a
     zero line both are exactly zero.  The covariance
@@ -183,9 +214,10 @@ def mean_pattern(
     # Re u_1, ...: an array times its own transpose is one BLAS syrk
     real_gram = np.zeros((2 * m_count, 2 * m_count))
     update = np.empty_like(real_gram)
+    chunk = np.empty((min(TRIAL_CHUNK, cfg.trials), m_count), complex)
     for lo in range(0, cfg.trials, TRIAL_CHUNK):
         trials = np.arange(lo, min(lo + TRIAL_CHUNK, cfg.trials))
-        unit = _noise(cfg, trials[:, None], antennas, freq_index)
+        unit = _noise(cfg, trials[:, None], antennas, freq_index, chunk[: trials.size])
         if coherent:
             sums += unit.sum(axis=0)
         re_im = unit.view(np.float64)
@@ -202,9 +234,7 @@ def mean_pattern(
         total += cfg.trials * np.outer(c_des.conj(), c_des) + cross + cross.conj().T
     # with h_d = sum_m G[m + d, m] and h_0 halved, s^H G s = 2 Re sum_d h_d e^{i d omega tau}
     # is >= 0 exactly, so a negative value is rounding near a null
-    lags = np.subtract.outer(antennas, antennas)
-    lag, g = lags[lags >= 0], total[lags >= 0]
-    h = np.bincount(lag, g.real) + 1j * np.bincount(lag, g.imag)
+    h = _lag_sums(total)
     h[0] /= 2.0
     swept = _chirp_z(h.conj(), desired.grid.omega(freq_index), geometry.element_delay, num_points)
     powers = np.maximum(_line_factor(freq_index) * 2.0 * swept.real / cfg.trials, 0.0)

@@ -30,7 +30,9 @@ from imdbeam import (
 from imdbeam.array import steering
 from imdbeam.baseline import (
     PHASE_BITS,
+    PHASE_STEP,
     TRIAL_CHUNK,
+    _lag_sums,
     _noise,
     _phase_from_hash,
     _phasor_table,
@@ -306,6 +308,59 @@ class TestUniformPhaseVectorised:
         )
 
 
+_MASK = 2**64 - 1
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_KEY_EXTREMES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1]
+
+
+def _reference_phase(seed, trial, antenna, line):
+    """Independent reference for uniform_phase in Python integers: one full
+    splitmix64 step, finaliser and all, per word in the order seed, line,
+    trial, antenna, then the top PHASE_BITS bits times PHASE_STEP."""
+    gamma = 0x9E3779B97F4A7C15
+    h = 0
+    for word in (seed, line, trial, antenna):
+        z = ((h ^ (word & _MASK)) * gamma + gamma) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        h = z ^ (z >> 31)
+    return (h >> (64 - PHASE_BITS)) * PHASE_STEP
+
+
+class TestUniformPhaseReference:
+    """Every draw, scalar or broadcast, is the Python-integer splitmix64 chain
+    bit for bit, so no rewrite of the numpy hash can change a phase."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=_INT64,
+        line=_INT64,
+        trials=st.lists(_INT64, min_size=1, max_size=4),
+        antennas=st.lists(_INT64, min_size=1, max_size=4),
+    )
+    def test_matches_python_int_splitmix64(self, seed, line, trials, antennas):
+        grid = uniform_phase(seed, np.array(trials)[:, None], np.array(antennas), line)
+        assert grid.shape == (len(trials), len(antennas))
+        for (t, m), phase in np.ndenumerate(grid):
+            expected = _reference_phase(seed, trials[t], antennas[m], line)
+            assert phase == expected
+            assert uniform_phase(seed, trials[t], antennas[m], line) == expected
+
+    def test_matches_python_int_splitmix64_at_key_extremes(self):
+        keys = np.array(_KEY_EXTREMES)
+        grid = uniform_phase(
+            keys[:, None, None, None],
+            keys[None, :, None, None],
+            keys[None, None, :, None],
+            keys[None, None, None, :],
+        )
+        for (i, t, m, k), phase in np.ndenumerate(grid):
+            key = (_KEY_EXTREMES[i], _KEY_EXTREMES[t], _KEY_EXTREMES[m], _KEY_EXTREMES[k])
+            expected = _reference_phase(*key)
+            assert phase == expected
+            assert uniform_phase(*key) == expected
+
+
 class TestUniformPhaseTable:
     """One draw: the phasor table read by the noise draws is exp(1j * phase)
     of the phases uniform_phase returns, bit for bit."""
@@ -322,6 +377,17 @@ class TestUniformPhaseTable:
         assert magnitude == np.sqrt(power / 2.0)
         noise, expected = magnitude * unit, magnitude * exact
         assert np.array_equal(noise.view(np.uint64), expected.view(np.uint64))
+
+    def test_noise_into_a_buffer_matches_the_allocating_draw(self):
+        cfg = NoiseModelConfig((13,), 0.003, 10, -5)
+        trials, antennas = np.arange(7)[:, None], np.arange(3)
+        buf = np.zeros((10, 3), complex)
+        out = buf[:7]
+        unit = _noise(cfg, trials, antennas, 13, out)
+        assert unit is out
+        expected = _noise(cfg, trials, antennas, 13)
+        assert np.array_equal(buf[:7].view(np.uint64), expected.view(np.uint64))
+        assert not buf[7:].any()
 
     def test_table_has_the_moments_of_a_uniform_phase(self):
         table = _phasor_table()
@@ -380,6 +446,24 @@ def _direct_mean_powers(cfg, desired, geometry, k, taus):
         received = (c_des + half_amp * np.exp(1j * phases)) @ steer
         total += 2.0 * np.abs(received) ** 2
     return total / cfg.trials
+
+
+class TestLagSums:
+    @pytest.mark.parametrize("m_count", [1, 2, 64, 257])
+    def test_matches_bincount_over_the_lag_matrix_bitwise(self, m_count):
+        # magnitudes spread over 16 decades, so a different summation order
+        # rounds differently
+        rng = np.random.default_rng(m_count)
+        shape = (m_count, m_count)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g *= 10.0 ** rng.uniform(-8, 8, shape)
+        antennas = np.arange(m_count)
+        lags = np.subtract.outer(antennas, antennas)
+        lag, values = lags[lags >= 0], g[lags >= 0]
+        expected = np.bincount(lag, values.real) + 1j * np.bincount(lag, values.imag)
+        h = _lag_sums(g)
+        assert h.shape == (m_count,)
+        assert np.array_equal(h.view(np.uint64), expected.view(np.uint64))
 
 
 class TestCovarianceSweep:
