@@ -73,11 +73,6 @@ class ArrayGeometry:
         if not 0 < self.element_delay < math.inf:
             raise ValueError("element_delay must be positive and finite")
 
-    def grating_lobe_free(self, omega: float) -> bool:
-        """True when a line at ``omega`` has a single coherent direction in
-        the principal interval (spacing at most half a wavelength)."""
-        return omega * self.element_delay <= np.pi * (1.0 + 1e-12)
-
 
 @dataclass(frozen=True)
 class SteeringAssignment:
@@ -393,10 +388,6 @@ class Pattern:
             object.__setattr__(self, name, arr)
         if np.any(self.powers < 0):
             raise ValueError("received power must be non-negative")
-
-    @property
-    def step(self) -> float:
-        return float(self.taus[1] - self.taus[0])
 
     def nearest_peak(self, tau: float) -> float:
         """Reported coherent direction closest to ``tau``."""

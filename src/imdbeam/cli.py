@@ -58,7 +58,8 @@ from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid
 
 # Largest antennas x sweep points a run may ask for.  M * N <= 2**24 implies
 # M + N - 1 <= 2**24, so a sweep's FFTs are at most 2**24 long.  With a baseline
-# it also caps the antennas x antennas covariance; 2**24 complex elements take 256 MiB.
+# it also caps M at 2**12, where the 2M x 2M real Gram matrix and chunk update
+# that sum the M x M covariance take 64 * M**2 bytes, 1 GiB.
 MAX_SWEEP_ELEMENTS = 2**24
 
 
@@ -316,8 +317,9 @@ def _validate(doc) -> ScenarioConfig:
     if num_antennas > most:
         raise ConfigError(
             "geometry.num_antennas",
-            f"must be at most {most}, so that neither a sweep of 16 points nor a baseline's "
-            "num_antennas x num_antennas complex matrices exceed 2**24 elements",
+            f"must be at most {most}, so that a sweep of 16 points stays within 2**24 "
+            "elements and a baseline's 64 * num_antennas**2 bytes of covariance sums "
+            "within 1 GiB",
         )
     if num_antennas * sweep_points > MAX_SWEEP_ELEMENTS:
         raise ConfigError(
@@ -667,6 +669,8 @@ def _load_config(path: str, seed: int | None, points: int | None) -> ScenarioCon
             text = fh.read()
     except OSError as e:
         raise ConfigError("$", f"cannot read config {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError("$", f"cannot read config {path}: {e}") from None
     overrides = {k: v for k, v in (("seed", seed), ("sweep_points", points)) if v is not None}
     return parse_config(text, overrides)
 

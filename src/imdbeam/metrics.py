@@ -20,9 +20,9 @@ from .spectra import _columns, _line_factor, _mag2
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """EVM/ACLR (and, for directions, per-line array gain) at one location."""
+    """EVM/ACLR (and, for directions, per-line array gain) of one row of
+    :func:`port_vs_ota_report`, which identifies a row by its position."""
 
-    location: str
     evm: float
     aclr_lower_db: float
     aclr_upper_db: float
@@ -95,7 +95,9 @@ def port_vs_ota_report(
 ) -> list[MetricsReport]:
     """Per-port reports for every antenna followed by one report per
     direction (far-field reception then the same metrics, plus the array
-    gain of every radiated line at that direction).
+    gain of every radiated line at that direction).  Rows carry no label:
+    row ``m`` is antenna ``m`` for ``m < M``, and row ``M + j`` is
+    ``directions[j]``.
 
     Port references use each port's own steered phases; direction references
     use the first antenna's phases, whose common offset the EVM gain fit
@@ -112,11 +114,9 @@ def port_vs_ota_report(
     lower, upper = _aclr_rows(signal.support, rows, band)
     evms = _evm_rows(signal.support, rows, ref.support, refs, band)
     lines = [k for k in signal.line_indices() if k > 0]
-    locations = [f"port {m + 1}" for m in range(signal.num_antennas)]
-    locations += [f"direction tau={tau:.12g}" for tau in directions]
     gains = [None] * signal.num_antennas
     gains += [{k: array_gain(signal, k, tau) for k in lines} for tau in directions]
     return [
         MetricsReport(*fields)
-        for fields in zip(locations, evms.tolist(), lower.tolist(), upper.tolist(), gains)
+        for fields in zip(evms.tolist(), lower.tolist(), upper.tolist(), gains)
     ]

@@ -48,18 +48,9 @@ class PolynomialNonlinearity:
         return len(self.coefficients)
 
     @classmethod
-    def identity(cls) -> "PolynomialNonlinearity":
-        return cls((1.0,))
-
-    @classmethod
     def third_order(cls, alpha: float) -> "PolynomialNonlinearity":
         """The flagship device ``f(x) = x + alpha*x**3``."""
         return cls((1.0, 0.0, float(alpha)))
-
-    @classmethod
-    def second_order(cls, alpha: float) -> "PolynomialNonlinearity":
-        """``f(x) = x + alpha*x**2``; its near-band distortion is empty."""
-        return cls((1.0, float(alpha)))
 
     def evaluate(self, x):
         """Pointwise ``f(x)`` on an array, for time-domain cross-checks."""

@@ -97,7 +97,7 @@ def test_criterion_2_second_order_null():
         band = BandDefinition((8, 12), 3)
         x = tone(GRID, 1.0, 9) + tone(GRID, 1.0, 11)
         for alpha in (0.01, 0.1, 0.5):
-            y = apply_polynomial(x, PolynomialNonlinearity.second_order(alpha))
+            y = apply_polynomial(x, PolynomialNonlinearity((1.0, alpha)))
             residual = band_filter(y, band) + x.scaled(-1.0)
             assert residual.total_power() < 1e-24
 
@@ -106,7 +106,7 @@ def test_criterion_3_single_user_co_beamforming():
     with criterion(3, "single-user co-beamformed distortion"):
         assignment, signal = single_user_signal()
         pattern = pattern_sweep(signal, 13, SU_GEO, 1024)
-        assert abs(pattern.nearest_peak(SU_TAU) - SU_TAU) <= pattern.step
+        assert abs(pattern.nearest_peak(SU_TAU) - SU_TAU) <= pattern.taus[1] - pattern.taus[0]
         # gain at the peak direction (the sweep grid only localizes it)
         assert array_gain(signal, 13, SU_TAU) == pytest.approx(2.0, abs=1e-9)
         port, _, receiver = port_vs_ota_report(signal, assignment, BAND, [SU_TAU])
@@ -122,7 +122,7 @@ def test_criterion_4_multi_user_distortion_directions():
         assert dd.lower.tau == pytest.approx(3.0 / 70, rel=1e-12)
         for k, tau in ((13, dd.upper.tau), (7, dd.lower.tau)):
             pattern = pattern_sweep(signal, k, geo, 1024)
-            assert abs(pattern.nearest_peak(tau) - tau) <= pattern.step
+            assert abs(pattern.nearest_peak(tau) - tau) <= pattern.taus[1] - pattern.taus[0]
             for user_tau in (MU_TAU1, MU_TAU2):
                 assert array_gain(signal, k, user_tau) <= 2.0 - 0.1
 
@@ -153,7 +153,7 @@ def test_criterion_6_aclr_and_evm_arithmetic():
 def test_criterion_7_independent_noise_contrast():
     with criterion(7, "independent-noise model contrast"):
         assignment, signal = single_user_signal()
-        desired = transmit(assignment, PolynomialNonlinearity.identity(), BAND)
+        desired = transmit(assignment, PolynomialNonlinearity((1.0,)), BAND)
         cfg = matched_noise_config(signal, (13, 7), TRIALS, SEED)
         baseline = mean_pattern(cfg, desired, SU_GEO, 13, 1024)
         assert abs(baseline.contrast - 1.0) <= 0.1
@@ -208,7 +208,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
 
         # a rerun of the Monte Carlo baseline matches the first run bit-exactly
         assignment, behavioral = single_user_signal()
-        desired = transmit(assignment, PolynomialNonlinearity.identity(), BAND)
+        desired = transmit(assignment, PolynomialNonlinearity((1.0,)), BAND)
         ncfg = matched_noise_config(behavioral, (13, 7), TRIALS, SEED)
         first = mean_pattern(ncfg, desired, SU_GEO, 13, 1024)
         second = mean_pattern(ncfg, desired, SU_GEO, 13, 1024)

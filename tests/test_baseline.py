@@ -49,7 +49,7 @@ TAU = 0.01
 def scenario():
     assignment = steer_tones(GRID, GEO, {9: TAU, 11: TAU})
     behavioral = transmit(assignment, CUBIC, BAND)
-    desired = transmit(assignment, PolynomialNonlinearity.identity(), BAND)
+    desired = transmit(assignment, PolynomialNonlinearity((1.0,)), BAND)
     return behavioral, desired
 
 

@@ -92,7 +92,7 @@ PATTERN_SUMMARY = {
         "peak_power", "peak_tau", "points", "tau_start", "tau_stop",
     )
 } | {"peak_taus": [None]}
-METRICS = {"aclr_lower_db": None, "aclr_upper_db": None, "evm": None, "location": None}
+METRICS = {"aclr_lower_db": None, "aclr_upper_db": None, "evm": None}
 PRODUCT = {"line_index": None, "modulus": None, "tau": None}
 REPORT_LAYOUT = {
     "baseline": {

@@ -52,9 +52,7 @@ class TestPolynomialNonlinearity:
             PolynomialNonlinearity(tuple([1.0] + [0.0] * 9))  # degree 10
 
     def test_constructors(self):
-        assert PolynomialNonlinearity.identity().coefficients == (1.0,)
         assert PolynomialNonlinearity.third_order(0.1).coefficients == (1.0, 0.0, 0.1)
-        assert PolynomialNonlinearity.second_order(0.5).coefficients == (1.0, 0.5)
 
     def test_pointwise_evaluation(self):
         f = PolynomialNonlinearity((1.0, 0.0, 0.1))
@@ -65,7 +63,7 @@ class TestPolynomialNonlinearity:
 class TestApplyPolynomial:
     def test_identity_returns_input(self):
         x = two_tone(0.3, -0.8)
-        assert apply_polynomial(x, PolynomialNonlinearity.identity()) == x
+        assert apply_polynomial(x, PolynomialNonlinearity((1.0,))) == x
 
     def test_pure_cube_of_cosine(self):
         # cos^3 = (3/4) cos + (1/4) cos(3.)
@@ -96,7 +94,7 @@ class TestApplyPolynomial:
         band = BandDefinition((8, 12), 3)
         x = two_tone(0.4, -0.2)
         y = band_filter(
-            apply_polynomial(x, PolynomialNonlinearity.second_order(alpha)), band
+            apply_polynomial(x, PolynomialNonlinearity((1.0, alpha))), band
         )
         residual = y + x.scaled(-1.0)
         assert residual.total_power() < 1e-24
