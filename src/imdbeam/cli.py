@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -27,6 +26,8 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import __version__
 from .array import (
@@ -420,7 +421,7 @@ class ReportBundle:
 
     config: ScenarioConfig
     distortion: DistortionDirections
-    ports: list[MetricsReport]
+    ports: MetricsReport
     directions: list[DirectionEntry]
     patterns: list[Pattern]
     baseline_patterns: list[Pattern]
@@ -474,14 +475,11 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         origin = "" if folded == p.tau else f" (folded from {p.tau:.12g})"
         _add_direction(folded, f"distortion product line {p.line_index}{origin}")
 
-    all_reports = port_vs_ota_report(
+    ports, at_directions = port_vs_ota_report(
         signal, assignment, cfg.band, [tau for tau, _ in directions]
     )
-    m = geometry.num_antennas
-    ports = all_reports[:m]
     direction_entries = [
-        DirectionEntry(tau, kind, rep)
-        for (tau, kind), rep in zip(directions, all_reports[m:])
+        DirectionEntry(tau, kind, rep) for (tau, kind), rep in zip(directions, at_directions)
     ]
 
     baseline_patterns: list[Pattern] = []
@@ -536,13 +534,6 @@ def _marker(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _marked(values: list) -> list:
-    """:func:`_marker` of each of ``values``.  A list with no non-finite
-    float is returned itself, after passes in C."""
-    floats = itertools.compress(values, map(isinstance, values, itertools.repeat(float)))
-    return values if all(map(math.isfinite, floats)) else list(map(_marker, values))
-
-
 def _fields(x, *drop: str) -> dict:
     """A dataclass's fields by name, less those in ``drop``, each under
     :func:`_marker`.  ``_dumps`` also calls it on every nested dataclass, so
@@ -550,17 +541,9 @@ def _fields(x, *drop: str) -> dict:
     return {name: _marker(getattr(x, name)) for name in _field_names(type(x)) if name not in drop}
 
 
-def _rows(cls, items, *drop: str) -> list[dict]:
-    """:func:`_fields` of each ``cls`` in ``items``, gathered one field at a
-    time across ``items``, so that the marker rule runs once per column."""
-    names = [name for name in _field_names(cls) if name not in drop]
-    columns = [_marked([getattr(x, name) for x in items]) for name in names]
-    return [dict(zip(names, row)) for row in zip(*columns)]
-
-
-def _dumps(doc) -> str:
-    """A report, compare or sweep document as one line; no ``indent`` keeps json in C."""
-    return json.dumps(doc, sort_keys=True, allow_nan=False, default=_fields)
+# A report, compare or sweep document as one line: no ``indent`` keeps json in
+# C, and one encoder for every call spares the set-up json.dumps does per call
+_dumps = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_fields).encode
 
 
 def _pattern_jsonable(pattern: Pattern, csv_name: str) -> dict:
@@ -593,6 +576,8 @@ def _baseline_jsonable(bundle: ReportBundle) -> dict:
 
 
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
+    """Every section of ``report.json`` but ``ports``, which :func:`emit`
+    writes as text (:func:`_ports_text`)."""
     cfg = bundle.config
     config = config_to_jsonable(cfg)
     return {
@@ -603,7 +588,6 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
         },
         "steering": _fields(cfg.steering, "grid", "geometry"),
         "distortion_directions": bundle.distortion,
-        "ports": _rows(MetricsReport, bundle.ports, "array_gain_by_line"),
         # line indices as strings: sort_keys would order int keys by number
         "directions": [
             {"tau": d.tau, "kind": d.kind, **_fields(d.report)}
@@ -617,6 +601,21 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
         "baseline": None if cfg.baseline is None else _baseline_jsonable(bundle),
         "config": config,
     }
+
+
+def _ports_text(ports: MetricsReport) -> str:
+    """The ``ports`` rows as ``_dumps`` writes them, built from the columns:
+    one ``_dumps`` formats every distinct value under :func:`_marker`, and
+    one template of the sorted field names takes every row."""
+    names = sorted(name for name in _field_names(MetricsReport) if name != "array_gain_by_line")
+    cells = np.array([getattr(ports, name) for name in names]).T.ravel()  # row by row
+    # keyed on the bits, since 0.0 == -0.0; no value's text holds ", "
+    bits = cells.view(np.int64).tolist()
+    distinct = dict(zip(bits, cells.tolist()))
+    texts = _dumps(list(map(_marker, distinct.values())))[1:-1].split(", ")
+    row = "{" + ", ".join(f'"{name}": %s' for name in names) + "}"
+    text = ", ".join([row] * ports.evm.size) % tuple(map(dict(zip(distinct, texts)).__getitem__, bits))
+    return f"[{text}]"
 
 
 def _write(directory: str, name: str, data: str) -> str:
@@ -646,7 +645,9 @@ def _csv_template(taus) -> str:
 def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
     """Write one CSV per pattern sweep, then ``report.json``; returns the
     written paths.  Each file is written atomically, so a failed run never
-    leaves a partial ``report.json``."""
+    leaves a partial ``report.json``.  The report's ``ports`` text, built from
+    the metric columns, goes in at its sorted key position between the
+    ``_dumps`` of the keys before it and of those after it."""
     # every sweep of a run is on one _sweep_grid, and a run sweeps its tones (EVM needs them)
     csv = _csv_template(bundle.patterns[0].taus)
     written = [
@@ -654,7 +655,12 @@ def emit(bundle: ReportBundle, out_dir: str) -> list[str]:
         for baseline, patterns in ((False, bundle.patterns), (True, bundle.baseline_patterns))
         for p in patterns
     ]
-    written.append(_write(out_dir, "report.json", _dumps(bundle_to_jsonable(bundle)) + "\n"))
+    doc = bundle_to_jsonable(bundle)
+    # both halves hold keys: "baseline" sorts before "ports", "steering" after
+    head = _dumps({k: v for k, v in doc.items() if k < "ports"})
+    tail = _dumps({k: v for k, v in doc.items() if k > "ports"})
+    text = f'{head[:-1]}, "ports": {_ports_text(bundle.ports)}, {tail[1:]}\n'
+    written.append(_write(out_dir, "report.json", text))
     return written
 
 

@@ -20,12 +20,13 @@ from .spectra import _columns, _line_factor, _mag2
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """EVM/ACLR (and, for directions, per-line array gain) of one row of
-    :func:`port_vs_ota_report`, which identifies a row by its position."""
+    """EVM/ACLR of :func:`port_vs_ota_report`: as columns for the ports, each
+    metric a length-M float64 array in antenna order and no array gains; as
+    floats for one direction, plus the array gain of every radiated line."""
 
-    evm: float
-    aclr_lower_db: float
-    aclr_upper_db: float
+    evm: float | np.ndarray
+    aclr_lower_db: float | np.ndarray
+    aclr_upper_db: float | np.ndarray
     array_gain_by_line: dict[int, float] | None = None
 
 
@@ -92,12 +93,11 @@ def port_vs_ota_report(
     assignment: SteeringAssignment,
     band: BandDefinition,
     directions: list[float],
-) -> list[MetricsReport]:
-    """Per-port reports for every antenna followed by one report per
-    direction (far-field reception then the same metrics, plus the array
-    gain of every radiated line at that direction).  Rows carry no label:
-    row ``m`` is antenna ``m`` for ``m < M``, and row ``M + j`` is
-    ``directions[j]``.
+) -> tuple[MetricsReport, list[MetricsReport]]:
+    """``(ports, at_directions)``: one report whose metrics are columns over
+    the antennas, in antenna order, and one report per direction in the
+    order given (far-field reception then the same metrics, plus the array
+    gain of every radiated line at that direction).
 
     Port references use each port's own steered phases; direction references
     use the first antenna's phases, whose common offset the EVM gain fit
@@ -113,10 +113,11 @@ def port_vs_ota_report(
     refs = np.concatenate([ref.phasors, np.repeat(ref.phasors[:1], len(received), axis=0)])
     lower, upper = _aclr_rows(signal.support, rows, band)
     evms = _evm_rows(signal.support, rows, ref.support, refs, band)
+    m = signal.num_antennas
     lines = [k for k in signal.line_indices() if k > 0]
-    gains = [None] * signal.num_antennas
-    gains += [{k: array_gain(signal, k, tau) for k in lines} for tau in directions]
-    return [
-        MetricsReport(*fields)
-        for fields in zip(evms.tolist(), lower.tolist(), upper.tolist(), gains)
+    metrics = np.array([evms, lower, upper])  # in MetricsReport's field order
+    at_directions = [
+        MetricsReport(*fields, {k: array_gain(signal, k, tau) for k in lines})
+        for fields, tau in zip(metrics[:, m:].T.tolist(), directions)
     ]
+    return MetricsReport(*metrics[:, :m]), at_directions

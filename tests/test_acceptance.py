@@ -109,9 +109,9 @@ def test_criterion_3_single_user_co_beamforming():
         assert abs(pattern.nearest_peak(SU_TAU) - SU_TAU) <= pattern.taus[1] - pattern.taus[0]
         # gain at the peak direction (the sweep grid only localizes it)
         assert array_gain(signal, 13, SU_TAU) == pytest.approx(2.0, abs=1e-9)
-        port, _, receiver = port_vs_ota_report(signal, assignment, BAND, [SU_TAU])
-        assert receiver.aclr_lower_db == pytest.approx(port.aclr_lower_db, abs=1e-9)
-        assert receiver.aclr_upper_db == pytest.approx(port.aclr_upper_db, abs=1e-9)
+        ports, (receiver,) = port_vs_ota_report(signal, assignment, BAND, [SU_TAU])
+        assert receiver.aclr_lower_db == pytest.approx(ports.aclr_lower_db[0], abs=1e-9)
+        assert receiver.aclr_upper_db == pytest.approx(ports.aclr_upper_db[0], abs=1e-9)
 
 
 def test_criterion_4_multi_user_distortion_directions():

@@ -12,8 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from imdbeam import cli
 from imdbeam.cli import (
@@ -21,6 +22,7 @@ from imdbeam.cli import (
     ScenarioConfig,
     _build_parser,
     _dumps,
+    _ports_text,
     bundle_to_jsonable,
     config_hash,
     config_to_jsonable,
@@ -30,6 +32,7 @@ from imdbeam.cli import (
     run_scenario,
 )
 from imdbeam.errors import ConfigError
+from imdbeam.metrics import MetricsReport
 
 
 def base_config(**overrides):
@@ -506,7 +509,8 @@ class TestRunScenario:
         assert bundle.distortion.upper.tau == pytest.approx(0.01, rel=1e-12)
         assert bundle.distortion.lower.tau == pytest.approx(0.01, rel=1e-12)
         assert [p.freq_index for p in bundle.patterns] == [9, 11, 13, 7]
-        assert len(bundle.ports) == 2
+        for column in (bundle.ports.evm, bundle.ports.aclr_lower_db, bundle.ports.aclr_upper_db):
+            assert column.shape == (2,)
         # all four roles collapse onto one physical direction
         assert len(bundle.directions) == 1
         entry = bundle.directions[0]
@@ -532,10 +536,9 @@ class TestRunScenario:
         )
         bundle = run_scenario(cfg)
         assert [p.freq_index for p in bundle.patterns] == [9, 11]
-        for rep in bundle.ports:
-            assert rep.evm == 0.0
-            assert rep.aclr_lower_db == float("-inf")
-            assert rep.aclr_upper_db == float("-inf")
+        assert bundle.ports.evm.tolist() == [0.0, 0.0]
+        assert bundle.ports.aclr_lower_db.tolist() == [float("-inf")] * 2
+        assert bundle.ports.aclr_upper_db.tolist() == [float("-inf")] * 2
         assert any("absent" in n for n in bundle.notes)
         assert any("baseline comparison skipped" in n for n in bundle.notes)
         assert bundle.baseline_patterns == []
@@ -607,46 +610,103 @@ def row_formatted_csv(pattern) -> str:
     return "\n".join(rows) + "\n"
 
 
-def port_row_reference(reports) -> list[dict]:
-    """``dataclasses.asdict`` of each port report less its array gains, with
-    each non-finite float as its string."""
+def port_row_reference(ports: MetricsReport) -> list[dict]:
+    """One dict per antenna of the port columns, keyed by every field but the
+    array gains, with each non-finite float as its string."""
+    names = [f.name for f in dataclasses.fields(ports) if f.name != "array_gain_by_line"]
     rows = []
-    for report in reports:
-        row = dataclasses.asdict(report)
-        del row["array_gain_by_line"]
-        for k, v in row.items():
-            if isinstance(v, float) and not math.isfinite(v):
-                row[k] = str(v)
-        rows.append(row)
+    for m in range(len(ports.evm)):
+        row = {name: float(getattr(ports, name)[m]) for name in names}
+        rows.append({k: v if math.isfinite(v) else str(v) for k, v in row.items()})
     return rows
 
 
+def report_text(bundle, tmp_path) -> str:
+    emit(bundle, str(tmp_path))
+    return (tmp_path / "report.json").read_text()
+
+
 class TestPortRows:
-    def assert_rows_match_reference(self, doc) -> list[dict]:
+    def assert_rows_match_reference(self, doc, tmp_path) -> list[dict]:
         bundle = run_scenario(parse(doc))
-        rows = bundle_to_jsonable(bundle)["ports"]
         reference = port_row_reference(bundle.ports)
-        assert len(rows) == bundle.config.steering.geometry.num_antennas
-        assert rows == reference
-        assert _dumps(rows) == _dumps(reference)
+        assert len(reference) == bundle.config.steering.geometry.num_antennas
+        assert _ports_text(bundle.ports) == json.dumps(reference, sort_keys=True, allow_nan=False)
+        # the report is the one sorted dump of its sections and these rows
+        doc = bundle_to_jsonable(bundle) | {"ports": reference}
+        assert report_text(bundle, tmp_path) == _dumps(doc) + "\n"
         return reference
 
-    def test_multi_user_rows(self):
+    def test_multi_user_rows(self, tmp_path):
         geometry = {"num_antennas": 64, "element_delay": 0.5}
-        rows = self.assert_rows_match_reference(dict(multi_user_config(), geometry=geometry))
+        doc = dict(multi_user_config(), geometry=geometry)
+        rows = self.assert_rows_match_reference(doc, tmp_path)
         assert all(isinstance(row["aclr_lower_db"], float) for row in rows)
 
-    def test_linear_device_rows_carry_the_marker(self):
+    def test_linear_device_rows_carry_the_marker(self, tmp_path):
         # a linear device leaves both adjacent bands clean: every ACLR is -inf
         doc = base_config(
             nonlinearity={"coefficients": [1.0]},
             geometry={"num_antennas": 3, "element_delay": 1.0 / 26.0},
             sweep_points=64,
         )
-        rows = self.assert_rows_match_reference(doc)
+        rows = self.assert_rows_match_reference(doc, tmp_path)
         assert {row[side] for row in rows for side in ("aclr_lower_db", "aclr_upper_db")} == {
             "-inf"
         }
+
+
+# every sign of zero, infinity and NaN, and subnormals: 0.0 == -0.0 as
+# dict keys, but the two print differently
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2.5e-310]
+
+
+@st.composite
+def port_columns(draw) -> MetricsReport:
+    """Three columns of 1 to 2048 antennas, each drawn from a small pool of
+    floats (so values repeat) that may hold every special float."""
+    m = draw(st.integers(1, 2048))
+    pool = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS)
+
+    def column():
+        values = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=6)))
+        return draw(arrays(np.float64, m, elements=values, fill=values))
+
+    return MetricsReport(column(), column(), column())
+
+
+class TestPortsText:
+    @settings(max_examples=60, deadline=None)
+    @given(port_columns())
+    @example(MetricsReport(*(np.array(SPECIAL_FLOATS) for _ in range(3))))
+    @example(MetricsReport(np.array([-0.0, 0.0, -0.0]), np.zeros(3), np.array([0.0, -0.0, 0.0])))
+    @example(MetricsReport(*(np.full(2048, v) for v in (math.nan, -math.inf, 5e-324))))
+    def test_matches_the_dump_of_the_row_dicts(self, ports):
+        expected = json.dumps(port_row_reference(ports), sort_keys=True, allow_nan=False)
+        got = _ports_text(ports)
+        # a bool and a short message: pytest's diff of two long texts would
+        # take seconds in every shrink step
+        same, at = got == expected, max(len(os.path.commonprefix([got, expected])) - 30, 0)
+        assert same, f"{got[at : at + 60]!r} != {expected[at : at + 60]!r}"
+
+
+class TestReportIsCanonicalJson:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            multi_user_config(baseline={"trials": 10000}, sweep_points=1024, seed=1234),
+            # a linear device: every port's ACLR is the "-inf" marker
+            base_config(nonlinearity={"coefficients": [1.0]}, baseline={"trials": 10}),
+            dict(
+                multi_user_config(sweep_points=256),
+                geometry={"num_antennas": 1024, "element_delay": 0.5},
+            ),
+        ],
+        ids=["readme", "linear", "m1024"],
+    )
+    def test_sorted_dump_of_the_parsed_report_is_the_report(self, doc, tmp_path):
+        text = report_text(run_scenario(parse(doc)), tmp_path)
+        assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text
 
 
 class TestEmit:

@@ -126,9 +126,9 @@ class TestAclr:
         geo = ArrayGeometry(2, 0.05)
         a = steer_tones(GRID, geo, {9: tau, 11: tau})
         sig = transmit(a, PolynomialNonlinearity.third_order(alpha), BAND)
-        port, _, rx = port_vs_ota_report(sig, a, BAND, [tau])
-        assert rx.aclr_lower_db == pytest.approx(port.aclr_lower_db, abs=1e-9)
-        assert rx.aclr_upper_db == pytest.approx(port.aclr_upper_db, abs=1e-9)
+        ports, (rx,) = port_vs_ota_report(sig, a, BAND, [tau])
+        assert rx.aclr_lower_db == pytest.approx(ports.aclr_lower_db[0], abs=1e-9)
+        assert rx.aclr_upper_db == pytest.approx(ports.aclr_upper_db[0], abs=1e-9)
 
     @pytest.mark.parametrize("plan", [(0.2, 0.3), (-0.1, 0.25)])
     def test_multi_user_receiver_improves(self, plan):
@@ -138,10 +138,10 @@ class TestAclr:
         geo = ArrayGeometry(2, 0.5)
         a = steer_tones(GRID, geo, {9: t1, 11: t2})
         sig = transmit(a, CUBIC, BAND)
-        port, _, *at_users = port_vs_ota_report(sig, a, BAND, [t1, t2])
+        ports, at_users = port_vs_ota_report(sig, a, BAND, [t1, t2])
         for rx in at_users:
-            assert rx.aclr_lower_db < port.aclr_lower_db
-            assert rx.aclr_upper_db < port.aclr_upper_db
+            assert rx.aclr_lower_db < ports.aclr_lower_db[0]
+            assert rx.aclr_upper_db < ports.aclr_upper_db[0]
 
 
 class TestEvm:
@@ -196,28 +196,30 @@ class TestPortVsOtaReport:
     def test_single_user_reports(self):
         a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
         sig = transmit(a, CUBIC, BAND)
-        reports = port_vs_ota_report(sig, a, BAND, [TAU_SU])
-        ports, (direction,) = reports[:2], reports[2:]
-        assert ports[0].evm == pytest.approx(ports[1].evm, abs=1e-15)
-        assert ports[0].aclr_upper_db == pytest.approx(ports[1].aclr_upper_db, rel=1e-12)
+        ports, (direction,) = port_vs_ota_report(sig, a, BAND, [TAU_SU])
+        # one column per metric, in antenna order, and no array gains
+        for column in (ports.evm, ports.aclr_lower_db, ports.aclr_upper_db):
+            assert column.dtype == np.float64 and column.shape == (2,)
+        assert ports.array_gain_by_line is None
+        assert ports.evm[0] == pytest.approx(ports.evm[1], abs=1e-15)
+        assert ports.aclr_upper_db[0] == pytest.approx(ports.aclr_upper_db[1], rel=1e-12)
         # at the steered direction every line gets the full gain
         for k in (7, 9, 11, 13):
             assert direction.array_gain_by_line[k] == pytest.approx(2.0, rel=1e-9)
-        assert direction.aclr_upper_db == pytest.approx(ports[0].aclr_upper_db, abs=1e-9)
-        assert direction.evm == pytest.approx(ports[0].evm, abs=1e-12)
+        assert direction.aclr_upper_db == pytest.approx(ports.aclr_upper_db[0], abs=1e-9)
+        assert direction.evm == pytest.approx(ports.evm[0], abs=1e-12)
 
     def test_multi_user_receiver_gains(self):
         geo = ArrayGeometry(2, 0.5)
         a = steer_tones(GRID, geo, {9: 0.2, 11: 0.3})
         sig = transmit(a, CUBIC, BAND)
-        reports = port_vs_ota_report(sig, a, BAND, [0.2, 0.3])
-        at_t1, at_t2 = reports[2], reports[3]
+        ports, (at_t1, at_t2) = port_vs_ota_report(sig, a, BAND, [0.2, 0.3])
         assert at_t1.array_gain_by_line[9] == pytest.approx(2.0, rel=1e-9)
         assert at_t2.array_gain_by_line[11] == pytest.approx(2.0, rel=1e-9)
         for rep in (at_t1, at_t2):
             assert rep.array_gain_by_line[13] < 1.9
             assert rep.array_gain_by_line[7] < 1.9
-            assert rep.aclr_upper_db < reports[0].aclr_upper_db
+            assert rep.aclr_upper_db < ports.aclr_upper_db[0]
 
     def test_reference_tone_outside_band_rejected(self):
         # the band's in-band interval (8, 10) leaves out the tone at 11
@@ -229,7 +231,7 @@ class TestPortVsOtaReport:
     def test_direction_far_from_beams(self):
         a = steer_tones(GRID, GEO_SU, {9: TAU_SU, 11: TAU_SU})
         sig = transmit(a, CUBIC, BAND)
-        (report,) = port_vs_ota_report(sig, a, BAND, [-0.03])[2:]
+        _, (report,) = port_vs_ota_report(sig, a, BAND, [-0.03])
         assert all(g < 1.0 for g in report.array_gain_by_line.values())
 
 
@@ -317,9 +319,15 @@ class TestReportMatchesLoopMetrics:
             with pytest.raises(ValueError):
                 port_vs_ota_report(sig, assignment, band, directions)
             return
-        reports = port_vs_ota_report(sig, assignment, band, directions)
-        assert len(reports) == len(expected)
-        for report, reference in zip(reports, expected):
-            got = (report.evm, report.aclr_lower_db, report.aclr_upper_db)
-            for a, b in zip(got, reference):
+        ports, at_directions = port_vs_ota_report(sig, assignment, band, directions)
+        assert ports.array_gain_by_line is None
+        assert len(ports.evm) == len(sig.per_antenna)
+        assert len(at_directions) == len(directions)
+        # the port columns row by row, in antenna order, then each direction
+        columns = (ports.evm, ports.aclr_lower_db, ports.aclr_upper_db)
+        got = list(zip(*(column.tolist() for column in columns)))
+        got += [(r.evm, r.aclr_lower_db, r.aclr_upper_db) for r in at_directions]
+        assert len(got) == len(expected)
+        for row, reference in zip(got, expected):
+            for a, b in zip(row, reference):
                 assert_same_metric(a, b)
