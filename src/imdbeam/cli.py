@@ -720,12 +720,12 @@ def _cmd_expand(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
     if args.line < 0:
-        raise ConfigError("line", "must be a non-negative line index")
+        raise ConfigError("--line", "must be a non-negative line index")
     signal = transmit(cfg.steering, cfg.device, cfg.band)
     try:
         pattern = pattern_sweep(signal, args.line, cfg.steering.geometry, cfg.sweep_points)
     except MissingLineError as e:
-        raise ConfigError("line", str(e)) from None
+        raise ConfigError("--line", str(e)) from None
     csv_name = _pattern_csv_name(args.line)
     if args.out:
         _write(args.out, csv_name, _csv_template(pattern.taus) % tuple(pattern.powers.tolist()))

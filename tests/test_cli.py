@@ -8,6 +8,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import imdbeam
 from imdbeam import cli
 from imdbeam.cli import (
     MAX_SWEEP_ELEMENTS,
@@ -817,6 +820,24 @@ class TestMain:
         assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
         assert "geometry.element_delay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value, field",
+        [
+            ("baseline", "line_indices", [13, 13], "baseline.line_indices"),
+            ("grid", "base_rate", 1e308, "grid.base_rate"),
+            ("grid", "max_index", 10**400, "grid.max_index"),
+            ("geometry", "num_antennas", 2**21, "geometry.num_antennas"),
+        ],
+    )
+    def test_run_usage_error_names_the_field(self, tmp_path, capsys, section, key, value, field):
+        doc = multi_user_config(baseline={"trials": 10000}, sweep_points=1024, seed=1234)
+        doc[section][key] = value
+        path = self.write_config(tmp_path, doc)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"error: {field}: " in err
+
     def test_run_requires_out_dir(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
         assert main(["run", "--config", path]) == 2
@@ -979,7 +1000,9 @@ class TestMain:
     def test_sweep_missing_line(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))
         assert main(["sweep", "--config", path, "--line", "14"]) == 2
-        assert "no antenna carries" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: --line: ")
+        assert "no antenna carries" in err
 
     def test_sweep_rejects_a_negative_line(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config(sweep_points=64))
@@ -987,7 +1010,7 @@ class TestMain:
         assert main(["sweep", "--config", path, "--line", "-13", "--out", str(out)]) == 2
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert "line: must be a non-negative line index" in err
+        assert err.startswith("error: --line: must be a non-negative line index")
         assert not out.exists()
 
     def test_sweep_accepts_line_zero(self, tmp_path, capsys):
@@ -1238,3 +1261,104 @@ class TestScaleInvariance:
             assert p["multi_peaked"]
             assert p["peak_tau"] == min(p["peak_taus"], key=lambda t: (abs(t), t))
             assert patterns[1e-5][line]["peak_tau"] == p["peak_tau"]
+
+
+# the directory that holds the imdbeam package these tests import
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(imdbeam.__file__)))
+
+
+def cli_process(*argv) -> str:
+    """Stdout of ``python -m imdbeam.cli`` run in a fresh process on the
+    imdbeam these tests import, which must exit 0."""
+    done = subprocess.run(
+        [sys.executable, "-m", "imdbeam.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def few_trials_config(num_antennas, trials):
+    """The README config on ``num_antennas`` antennas, with ``trials``
+    baseline trials and 4096 sweep points."""
+    doc = multi_user_config(baseline={"trials": trials}, sweep_points=4096, seed=1234)
+    doc["geometry"]["num_antennas"] = num_antennas
+    return doc
+
+
+# config, behavioural pattern CSVs, baseline pattern CSVs
+FRESH_PROCESS_CONFIGS = {
+    "readme": (multi_user_config(baseline={"trials": 10000}, sweep_points=1024, seed=1234), 4, 2),
+    # baseline lines 29 and 31 are swept once and written like every pattern
+    "off_plan": (off_plan_config(), 6, 2),
+    # 1024 antennas, degree 9 and no baseline: pattern sweeps on FFTs
+    "wide": (
+        {
+            "grid": {"base_rate": 7.6428168915656425, "max_index": 255},
+            "tones": [
+                {"index": 25, "amplitude": 0.4, "phase": 1.8},
+                {"index": 28, "amplitude": 0.74, "phase": 0.59},
+            ],
+            "targets": [{"index": 25, "tau": 0.0209}, {"index": 28, "tau": -0.0118}],
+            "geometry": {"num_antennas": 1024, "element_delay": 0.0249},
+            "nonlinearity": {
+                "coefficients": [
+                    1.0, 0.037, -0.035, 0.023, -0.0049, 0.0017, -0.00042, 0.00012, -3.8e-05
+                ]
+            },
+            "band": {"in_band": [25, 28], "adjacent_width": 4},
+            "sweep_points": 4096,
+            "seed": 11,
+        },
+        4,
+        0,
+    ),
+    # fewer trials than antennas: covariance lag sums swept by chirp-z
+    "few": (few_trials_config(256, 16), 4, 2),
+    # three trial chunks, whose rank-k updates BLAS may run multithreaded
+    "chunks": (few_trials_config(64, 2053), 4, 2),
+}
+
+
+class TestFreshProcesses:
+    """The command line in fresh processes, as an installed script runs it:
+    reruns write the same bytes, and each report is canonical JSON."""
+
+    @pytest.mark.parametrize("name", list(FRESH_PROCESS_CONFIGS))
+    def test_reruns_are_byte_identical(self, tmp_path, name):
+        doc, patterns, baseline_patterns = FRESH_PROCESS_CONFIGS[name]
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc))
+        outputs = []
+        for out in ("run_a", "run_b"):
+            cli_process("run", "--config", str(config), "--out", str(tmp_path / out))
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / out).iterdir()})
+        files = outputs[0]
+        assert outputs[1] == files
+        baseline_csvs = [f for f in files if f.endswith("_baseline.csv")]
+        assert (len(files) - 1 - len(baseline_csvs), len(baseline_csvs)) == (
+            patterns,
+            baseline_patterns,
+        )
+        # the spliced ports text sits where one sorted json.dumps puts it
+        text = files["report.json"].decode()
+        assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text
+        if name != "readme":
+            return
+
+        # the config echo runs to the same report
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(json.loads(text)["config"]))
+        cli_process("run", "--config", str(echo), "--out", str(tmp_path / "run_echo"))
+        assert (tmp_path / "run_echo" / "report.json").read_bytes() == files["report.json"]
+
+        # compare reruns write the same compare.json, and print its text
+        stdouts = []
+        for out in ("compare_a", "compare_b"):
+            stdouts.append(
+                cli_process("compare", "--config", str(config), "--out", str(tmp_path / out))
+            )
+            assert stdouts[-1] == (tmp_path / out / "compare.json").read_text()
+        assert stdouts[1] == stdouts[0]

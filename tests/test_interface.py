@@ -214,6 +214,37 @@ def test_report_key_layout_of_readme_config(tmp_path):
     assert layout(report) == REPORT_LAYOUT
 
 
+# the README config, and two users with unequal amplitudes, nonzero phases
+# and targets listed in the other order
+MULTI_USER_CONFIG = {
+    key: value for key, value in README_CONFIG.items() if key != "baseline"
+} | {
+    "tones": [
+        {"index": 9, "amplitude": 1.0, "phase": 0.7},
+        {"index": 11, "amplitude": 0.25, "phase": -2.1},
+    ],
+    "targets": [{"index": 11, "tau": -0.15}, {"index": 9, "tau": 0.35}],
+    "sweep_points": 64,
+}
+
+
+@pytest.mark.parametrize("doc", [README_CONFIG, MULTI_USER_CONFIG], ids=["readme", "multi_user"])
+def test_report_steering_is_the_config_tone_plan(tmp_path, doc):
+    # per tone and in tone order, each target by its tone's index
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    steering = json.loads((tmp_path / "out" / "report.json").read_text())["steering"]
+    tau = {t["index"]: t["tau"] for t in doc["targets"]}
+    assert steering == {
+        "tone_indices": [t["index"] for t in doc["tones"]],
+        "amplitudes": [t["amplitude"] for t in doc["tones"]],
+        "base_phases": [t["phase"] for t in doc["tones"]],
+        "targets": [tau[t["index"]] for t in doc["tones"]],
+    }
+
+
 def test_report_and_compare_keys_in_string_order(tmp_path):
     # every object's keys sorted as strings, the line indices of
     # array_gain_by_line too: "11" and "13" before "7" and "9"
