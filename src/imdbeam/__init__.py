@@ -10,7 +10,7 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 from .array import (
     ArrayGeometry,
@@ -49,7 +49,6 @@ from .nonlinearity import (
     PolynomialNonlinearity,
     apply_polynomial,
     band_filter,
-    two_tone_third_order_terms,
 )
 from .spectra import (
     PRUNE_THRESHOLD,
@@ -103,6 +102,5 @@ __all__ = [
     "steer_tones",
     "tone",
     "transmit",
-    "two_tone_third_order_terms",
     "uniform_phase",
 ]

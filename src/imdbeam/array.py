@@ -152,32 +152,16 @@ def steer_tones(
     )
 
 
-def transmit(
-    assignment: SteeringAssignment,
-    f: PolynomialNonlinearity,
-    band: BandDefinition,
-) -> ArraySignal:
-    """Drive every antenna with its steered multi-tone input, apply the
-    polynomial device, and band-filter what the chain radiates.  Device
-    characteristics are identical on all antennas.
-
-    Every antenna gets the same tone amplitudes and steering changes phases
-    only, so the distortion is correlated across the array (the source
-    paper's argument): the mixing order ``n`` (``n[j]`` signed copies of tone
-    ``j``, at line ``n . k``) has one coefficient ``C_n`` for all antennas.
-    Antenna 0 rotates it by ``exp(1j * n . base_phases)``, and each next
-    antenna leads by ``n . phase_steps``, both reduced mod 2*pi.  The table
-    of ``C_n`` is ``apply_polynomial`` of one virtual antenna with tone ``j``
-    at index ``B**j``, ``B = 2 * degree + 1``, where the balanced base-``B``
-    digits of each line are its order.  Only orders whose line ``|n . k|``
-    lies in ``band.keep_window`` are rotated; orders sharing a line superpose
-    in ``from_phasors``.  The table is pruned at ``PRUNE_THRESHOLD`` before
-    that sum, so a line may differ from a per-antenna convolution by the
-    threshold once per order on it.  Raises :class:`GridRangeError` when the
-    grid cannot hold ``degree * k_top``, or when ``B**K`` for ``K`` tones
-    exceeds 64 bits (more than 14 tones at degree 9, 22 at degree 3).
+def _mixing_orders(tones, amplitudes, f: PolynomialNonlinearity, keep_window, max_index: int):
+    """Mixing orders ``n`` of ``tones`` (increasing) with cosine ``amplitudes``
+    through ``f`` whose line ``|n . k|`` lies in ``keep_window``, mirrored to
+    ``n . k >= 0``: their orders, lines (increasing) and real coefficients
+    ``C_n``, from ``apply_polynomial`` of one virtual antenna with tone ``j``
+    at index ``B**j``, ``B = 2 * degree + 1``, whose lines' balanced
+    base-``B`` digits are their orders.  Raises :class:`GridRangeError` when
+    ``max_index`` cannot hold ``degree * k_top`` or ``B**K`` exceeds 64 bits.
     """
-    k = np.array(assignment.tone_indices, dtype=np.int64)
+    k = np.array(tones, dtype=np.int64)
     base = 2 * f.degree + 1
     span = base**k.size  # every order index lies within (-span/2, span/2)
     if span > np.iinfo(np.int64).max:
@@ -187,12 +171,12 @@ def transmit(
         )
     powers = base ** np.arange(k.size, dtype=np.int64)
     virtual = LineSpectrum.from_phasors(
-        FrequencyGrid(1.0, span), powers, [np.array(assignment.amplitudes) / _line_factor(k)]
+        FrequencyGrid(1.0, span), powers, [np.array(amplitudes) / _line_factor(k)]
     )
     k_top = int(k[np.searchsorted(powers, virtual.support)].max(initial=0))
-    if f.degree * k_top > assignment.grid.max_index:
+    if f.degree * k_top > max_index:
         raise GridRangeError(
-            f"grid max_index {assignment.grid.max_index} cannot hold degree-{f.degree} "
+            f"grid max_index {max_index} cannot hold degree-{f.degree} "
             f"products of lines up to index {k_top}"
         )
     table = apply_polynomial(virtual, f)
@@ -202,18 +186,39 @@ def transmit(
     # an order below zero enters as its mirror, the conjugate at |n . k|
     orders[lines < 0] *= -1
     lines = np.abs(lines)
-    kept = np.flatnonzero(_contains(band.keep_window, lines))
+    kept = np.flatnonzero(_contains(keep_window, lines))
     # in line order, so that orders which share no line need no merging
     kept = kept[np.argsort(lines[kept], kind="stable")]
     # a nonzero order on line 0 stands for itself and its mirror: 2 Re(.)
     weights = np.where((lines[kept] == 0) & (table.support[kept] > 0), 2.0, 1.0)
-    # reduced before an order or an antenna index multiplies them: every phase is finite
-    base_turns = orders[kept] @ (np.array(assignment.base_phases) % TWO_PI)
-    leads = (orders[kept] @ (assignment.phase_steps % TWO_PI)) % TWO_PI
-    rotations = np.exp(1j * base_turns) * steering(assignment.geometry.num_antennas, -leads)
-    signal = ArraySignal.from_phasors(
-        assignment.grid, lines[kept], table.phasors[0, kept].real * weights * rotations
+    return orders[kept], lines[kept], table.phasors[0, kept].real * weights
+
+
+def transmit(
+    assignment: SteeringAssignment,
+    f: PolynomialNonlinearity,
+    band: BandDefinition,
+) -> ArraySignal:
+    """Drive every antenna with its steered multi-tone input through the one
+    polynomial device, and band-filter what the chain radiates.
+
+    Steering changes phases only, so the distortion is correlated across the
+    array (the source paper's argument): each order ``n`` of
+    :func:`_mixing_orders` has one coefficient for all antennas.  Antenna 0
+    rotates it by ``exp(1j * n . base_phases)``, each next antenna leads by
+    ``n . phase_steps`` (both mod 2*pi).  Orders that share a line superpose
+    after the table's pruning at ``PRUNE_THRESHOLD``, so a line may differ
+    from a per-antenna convolution by the threshold once per order.
+    """
+    orders, lines, coefficients = _mixing_orders(
+        assignment.tone_indices, assignment.amplitudes, f, band.keep_window,
+        assignment.grid.max_index,
     )
+    # reduced before an order or an antenna index multiplies them: every phase is finite
+    base_turns = orders @ (np.array(assignment.base_phases) % TWO_PI)
+    leads = (orders @ (assignment.phase_steps % TWO_PI)) % TWO_PI
+    rotations = np.exp(1j * base_turns) * steering(assignment.geometry.num_antennas, -leads)
+    signal = ArraySignal.from_phasors(assignment.grid, lines, coefficients * rotations)
     # changes nothing (kept orders lie in the keep window), but the benchmark tracer needs its span
     return band_filter(signal, band)
 

@@ -5,7 +5,7 @@ Subcommands:
 * ``run``     full scenario: transmit, port and over-the-air metrics,
               distortion directions, pattern sweeps, and (when configured)
               the independent-noise comparison.
-* ``expand``  closed-form third-order two-tone term table.
+* ``expand``  mixing-order table of a unit two-tone through ``x + alpha*x**3``.
 * ``sweep``   pattern sweep of a single line.
 * ``compare`` behavioral vs independent-noise mean pattern for the
               near-band products.
@@ -36,6 +36,7 @@ from .array import (
     DistortionDirections,
     Pattern,
     SteeringAssignment,
+    _mixing_orders,
     distortion_delays,
     fold_delay,
     pattern_sweep,
@@ -50,12 +51,8 @@ from .baseline import (
 )
 from .errors import ConfigError, MissingLineError
 from .metrics import MetricsReport, port_vs_ota_report
-from .nonlinearity import (
-    BandDefinition,
-    PolynomialNonlinearity,
-    two_tone_third_order_terms,
-)
-from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid
+from .nonlinearity import BandDefinition, PolynomialNonlinearity
+from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid, _line_factor
 
 # Largest antennas x sweep points a run may ask for.  M * N <= 2**24 implies
 # M + N - 1 <= 2**24, so a sweep's FFTs are at most 2**24 long.  With a baseline
@@ -698,7 +695,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_expand(args) -> int:
+def _expand_table(args):
+    """Line, amplitude and phase of each mixing order of a unit two-tone, in line order."""
     for flag in ("alpha", "phi1", "phi2"):
         if not math.isfinite(getattr(args, flag)):
             raise ConfigError(f"--{flag}", "must be a finite number")
@@ -706,13 +704,30 @@ def _cmd_expand(args) -> int:
         raise ConfigError("--k1", "must be a positive integer")
     if args.k2 <= args.k1:
         raise ConfigError("--k2", "must exceed --k1")
-    terms = two_tone_third_order_terms(args.k1, args.k2, args.phi1, args.phi2, args.alpha)
-    if not all(math.isfinite(amp) for _, amp, _ in terms):
-        raise ConfigError("--alpha", "the term amplitudes overflow floating point")
-    if not all(math.isfinite(phase) for _, _, phase in terms):
+    top = 3 * args.k2  # the third harmonic, the highest line
+    if top > _I64_MAX:
+        raise ConfigError("--k2", "3 * k2 must fit in 64 bits")
+    overflow = ConfigError("--alpha", "the term amplitudes overflow floating point")
+    device = PolynomialNonlinearity.third_order(args.alpha)
+    # an overflow shows as a non-finite value, not as a numpy warning
+    with np.errstate(over="ignore"):
+        try:
+            orders, lines, c = _mixing_orders((args.k1, args.k2), (1, 1), device, (0, top), top)
+        except ValueError:  # a non-finite coefficient in the table
+            raise overflow from None
+        amplitudes = _line_factor(lines) * c
+        phases = orders @ (args.phi1, args.phi2)
+    if not np.isfinite(amplitudes).all():
+        raise overflow
+    if not np.isfinite(phases).all():
         raise ConfigError("--phi1/--phi2", "the term phases overflow floating point")
+    return lines.tolist(), amplitudes.tolist(), phases.tolist()
+
+
+def _cmd_expand(args) -> int:
+    table = _expand_table(args)
     print(f"{'index':>6}  {'amplitude':>16}  {'phase_rad':>16}")
-    for k, amp, phase in terms:
+    for k, amp, phase in zip(*table):
         print(f"{k:>6}  {amp:>16.12g}  {phase:>16.12g}")
     return 0
 
@@ -768,7 +783,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(handler=_cmd_run)
 
     expand_p = sub.add_parser(
-        "expand", help="print the closed-form third-order two-tone term table"
+        "expand", help="print the mixing-order table of a unit two-tone through x + alpha*x**3"
     )
     expand_p.add_argument("--k1", type=int, required=True)
     expand_p.add_argument("--k2", type=int, required=True)

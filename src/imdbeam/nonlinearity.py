@@ -6,10 +6,8 @@ with no time-domain approximation.  :func:`apply_polynomial` convolves every
 antenna of an array at once over their shared line support.  A steered array
 needs only one antenna's expansion: steering changes phases, not amplitudes,
 so the distortion is correlated across the antennas (the source paper's
-argument).  ``array.transmit`` therefore expands the device once into a table
-of mixing orders and rotates each order per antenna by its steering phase.
-The closed-form two-tone table of ``x + alpha*x**3`` is the independent
-reference for the convolution and the table ``imdbeam expand`` prints; the
+argument).  ``array`` expands the device once into a table of mixing orders,
+which ``transmit`` rotates per antenna and ``imdbeam expand`` prints.  The
 brick-wall transmit-chain filter lives here as well.
 """
 
@@ -151,46 +149,6 @@ def apply_polynomial(x: ArraySignal, f: PolynomialNonlinearity) -> ArraySignal:
     return type(x).from_phasors(
         x.grid, np.concatenate(terms_k), np.concatenate(terms_c, axis=1)
     )
-
-
-def two_tone_third_order_terms(
-    k1: int, k2: int, phi1: float, phi2: float, alpha: float
-) -> list[tuple[int, float, float]]:
-    """Closed-form term table for a unit two-tone through ``x + alpha*x**3``.
-
-    Returns ``(index, amplitude, phase)`` triples, each index an ``int``
-    whatever whole-number type the tone indices have, where ``amplitude`` is
-    the signed cosine coefficient: the fundamentals scaled by ``1 + 9*alpha/4``,
-    four mixing products at ``3*alpha/4`` and the two third harmonics at
-    ``alpha/4``.  A negative difference index ``k2 - 2*k1`` is folded to its
-    positive mirror with the phase negated (the signal is real), and
-    zero-amplitude terms are omitted, so ``alpha = 0`` yields just the two
-    unit fundamentals.
-    """
-    if not (_is_whole(k1) and _is_whole(k2)) or k1 < 1:
-        raise GridRangeError("tone indices must be positive integers")
-    if not k1 < k2:
-        raise ValueError("tone indices must satisfy k1 < k2")
-    k1, k2 = int(k1), int(k2)
-    # scaled by exact binary fractions, so no product overflows before a division
-    a_fund = 1.0 + 2.25 * alpha
-    a_mix = 0.75 * alpha
-    a_harm = 0.25 * alpha
-    diff = k2 - 2 * k1
-    diff_phase = phi2 - 2.0 * phi1
-    if diff < 0:
-        diff, diff_phase = -diff, -diff_phase
-    raw = [
-        (k1, a_fund, phi1),
-        (k2, a_fund, phi2),
-        (2 * k2 + k1, a_mix, 2.0 * phi2 + phi1),
-        (2 * k2 - k1, a_mix, 2.0 * phi2 - phi1),
-        (k2 + 2 * k1, a_mix, phi2 + 2.0 * phi1),
-        (diff, a_mix, diff_phase),
-        (3 * k1, a_harm, 3.0 * phi1),
-        (3 * k2, a_harm, 3.0 * phi2),
-    ]
-    return [(k, amp, phase) for k, amp, phase in raw if amp != 0.0]
 
 
 def band_filter(x: ArraySignal, band: BandDefinition) -> ArraySignal:

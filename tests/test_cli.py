@@ -497,7 +497,9 @@ class TestConfigProperties:
                 pass
 
     @pytest.mark.parametrize(
-        "text", ['{"seed": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000]
+        "text",
+        ['{"seed": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+        ids=["long-int", "deep-nesting"],
     )
     def test_undecodable_json_is_a_config_error(self, text):
         # beyond int's digit limit, and beyond the recursion limit
@@ -932,6 +934,15 @@ class TestMain:
         assert main(["expand", "--k1", "9", "--k2", "11", "--alpha", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "1.225" in out and "0.075" in out and "0.025" in out
+        # rows in line order, the folded difference line first
+        lines = [int(row.split()[0]) for row in out.splitlines()[1:]]
+        assert lines == [7, 9, 11, 13, 27, 29, 31, 33]
+
+    def test_expand_drops_rows_below_the_prune_threshold(self, capsys):
+        # the harmonics' phasors, alpha / 8, lie below PRUNE_THRESHOLD
+        assert main(["expand", "--k1", "9", "--k2", "11", "--alpha", "5e-14"]) == 0
+        lines = [int(row.split()[0]) for row in capsys.readouterr().out.splitlines()[1:]]
+        assert lines == [7, 9, 11, 13, 29, 31]
 
     @pytest.mark.parametrize("flag", ["--alpha", "--phi1", "--phi2"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -942,7 +953,10 @@ class TestMain:
         assert out == ""
         assert f"{flag}: must be a finite number" in err
 
-    @pytest.mark.parametrize("k1, k2, flag", [("0", "11", "--k1"), ("11", "9", "--k2")])
+    @pytest.mark.parametrize(
+        "k1, k2, flag",
+        [("0", "11", "--k1"), ("11", "9", "--k2"), ("9", str(2**63 // 3 + 1), "--k2")],
+    )
     def test_expand_rejects_bad_tone_indices(self, capsys, k1, k2, flag):
         assert main(["expand", "--k1", k1, "--k2", k2, "--alpha", "0.1"]) == 2
         out, err = capsys.readouterr()
@@ -968,10 +982,10 @@ class TestMain:
     def test_expand_accepts_a_finite_table_near_overflow(self, capsys, alpha):
         # 9 * alpha overflows, but the fundamentals' 1 + 2.25 * alpha does not
         assert main(["expand", "--k1", "9", "--k2", "11", alpha]) == 0
-        rows = capsys.readouterr().out.splitlines()[1:]
-        amplitudes = [float(row.split()[1]) for row in rows]
-        assert len(amplitudes) == 8 and all(math.isfinite(a) for a in amplitudes)
-        assert abs(amplitudes[0]) == pytest.approx(1.125e308, rel=1e-12)
+        rows = [row.split() for row in capsys.readouterr().out.splitlines()[1:]]
+        amplitudes = {int(k): float(amp) for k, amp, _ in rows}
+        assert len(amplitudes) == 8 and all(math.isfinite(a) for a in amplitudes.values())
+        assert abs(amplitudes[9]) == pytest.approx(1.125e308, rel=1e-12)
 
     @pytest.mark.parametrize(
         "flag, value",

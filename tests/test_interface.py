@@ -80,7 +80,6 @@ PUBLIC_NAMES = [
     "steer_tones",
     "tone",
     "transmit",
-    "two_tone_third_order_terms",
     "uniform_phase",
 ]
 

@@ -1,26 +1,33 @@
-"""Polynomial device models: exact convolution path, closed-form two-tone
-table, and the transmit-chain band filter, cross-checked against a
-time-domain oracle (pointwise polynomial on coherent samples, then DFT)."""
-
-import math
+"""Polynomial device models: exact convolution path and the transmit-chain
+band filter, cross-checked against a time-domain oracle (pointwise
+polynomial on coherent samples, then DFT) and against a hand-derived
+two-tone table, which also pins the mixing-order table ``imdbeam expand``
+prints."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imdbeam import (
+    ArrayGeometry,
     BandDefinition,
+    ConfigError,
     FrequencyGrid,
     GridRangeError,
     LineSpectrum,
+    PRUNE_THRESHOLD,
     PolynomialNonlinearity,
     apply_polynomial,
     band_filter,
     estimate_lines,
     sample_waveform,
+    steer_tones,
     tone,
-    two_tone_third_order_terms,
+    transmit,
 )
-from imdbeam.spectra import SampledWaveform
+from imdbeam.cli import _build_parser, _expand_table
+from imdbeam.spectra import _I64_MAX, SampledWaveform
 
 GRID = FrequencyGrid(2 * np.pi, 64)
 BAND = BandDefinition((8, 12), 4)
@@ -32,6 +39,39 @@ EXPANSION_01 = {9: 1.225, 11: 1.225, 13: 0.075, 7: 0.075,
 
 def two_tone(phi1=0.0, phi2=0.0, k1=9, k2=11):
     return tone(GRID, 1.0, k1, phi1) + tone(GRID, 1.0, k2, phi2)
+
+
+def two_tone_third_order_terms(k1, k2, phi1, phi2, alpha):
+    """Closed-form term table for a unit two-tone at ``k1 < k2`` through
+    ``x + alpha*x**3``, derived by hand: the independent reference.
+
+    Returns ``(index, amplitude, phase)`` triples, where ``amplitude`` is
+    the signed cosine coefficient: the fundamentals scaled by ``1 + 9*alpha/4``,
+    four mixing products at ``3*alpha/4`` and the two third harmonics at
+    ``alpha/4``.  A negative difference index ``k2 - 2*k1`` is folded to its
+    positive mirror with the phase negated (the signal is real), and
+    zero-amplitude terms are omitted, so ``alpha = 0`` yields just the two
+    unit fundamentals.
+    """
+    # scaled by exact binary fractions, so no product overflows before a division
+    a_fund = 1.0 + 2.25 * alpha
+    a_mix = 0.75 * alpha
+    a_harm = 0.25 * alpha
+    diff = k2 - 2 * k1
+    diff_phase = phi2 - 2.0 * phi1
+    if diff < 0:
+        diff, diff_phase = -diff, -diff_phase
+    raw = [
+        (k1, a_fund, phi1),
+        (k2, a_fund, phi2),
+        (2 * k2 + k1, a_mix, 2.0 * phi2 + phi1),
+        (2 * k2 - k1, a_mix, 2.0 * phi2 - phi1),
+        (k2 + 2 * k1, a_mix, phi2 + 2.0 * phi1),
+        (diff, a_mix, diff_phase),
+        (3 * k1, a_harm, 3.0 * phi1),
+        (3 * k2, a_harm, 3.0 * phi2),
+    ]
+    return [(k, amp, phase) for k, amp, phase in raw if amp != 0.0]
 
 
 def time_domain_spectrum(x, f, samples_per_period=256):
@@ -157,30 +197,6 @@ class TestTwoToneThirdOrderTerms:
         terms = two_tone_third_order_terms(10, 13, 0.0, 0.0, -4 / 9)
         assert [k for k, _, _ in terms] == [36, 16, 33, 7, 30, 39]
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            two_tone_third_order_terms(11, 9, 0.0, 0.0, 0.1)
-        with pytest.raises(GridRangeError):
-            two_tone_third_order_terms(0, 9, 0.0, 0.0, 0.1)
-
-    @pytest.mark.parametrize(
-        "k1, k2", [(9.0, 11.0), (np.int64(9), np.int64(11))], ids=["float", "int64"]
-    )
-    def test_whole_indices_come_back_as_int(self, k1, k2):
-        terms = two_tone_third_order_terms(k1, k2, 0.0, 0.0, 0.1)
-        assert terms == two_tone_third_order_terms(9, 11, 0.0, 0.0, 0.1)
-        assert [type(k) for k, _, _ in terms] == [int] * 8
-
-    @pytest.mark.parametrize(
-        "k1, k2",
-        [(True, 11), (math.nan, 11), (9, math.inf)],
-        ids=["bool-index", "nan-index", "infinite-index"],
-    )
-    def test_non_whole_index_rejected(self, k1, k2):
-        # a bool is no line index, and NaN or infinity has no integer value
-        with pytest.raises(GridRangeError, match="positive integers"):
-            two_tone_third_order_terms(k1, k2, 0.0, 0.0, 0.1)
-
 
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("alpha", [-1.0, -0.5, -0.1, 0.01, 0.1, 0.5, 1.0])
@@ -197,6 +213,71 @@ class TestThreeWayEquivalence:
         via_time_domain = time_domain_spectrum(x, f)
         assert via_convolution.allclose(via_closed_form, rtol=1e-12, atol=1e-13)
         assert via_convolution.allclose(via_time_domain, rtol=1e-9, atol=1e-11)
+
+
+@st.composite
+def tone_pairs(draw):
+    """``k1 < k2`` with ``3 * k2`` in 64 bits, often with ``k2`` at
+    ``2 * k1`` (the difference product on line 0) or ``3 * k1`` (products
+    sharing lines)."""
+    k1 = draw(st.integers(1, _I64_MAX // 9))
+    multiple = st.sampled_from([2 * k1, 3 * k1])
+    return k1, draw(st.one_of(multiple, st.integers(k1 + 1, _I64_MAX // 3)))
+
+
+def expand_table(k1, k2, alpha, phi1, phi2):
+    """The rows of ``imdbeam expand``, each float passed as its repr."""
+    flags = [f"--k1={k1}", f"--k2={k2}", f"--alpha={alpha!r}"]
+    flags += [f"--phi1={phi1!r}", f"--phi2={phi2!r}"]
+    return _expand_table(_build_parser().parse_args(["expand", *flags]))
+
+
+class TestExpandTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tone_pairs(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e300, 1e300),
+        st.floats(-1e300, 1e300),
+    )
+    @example((9, 11), 0.1, 0.35, -1.1)
+    @example((4, 8), -0.3, 0.5, 0.25)
+    @example((4, 12), 2.0, -0.7, 1.9)
+    @example((9, 11), 8e307, 0.0, 0.0)
+    def test_rows_equal_the_closed_form(self, tones, alpha, phi1, phi2):
+        # as a multiset and bit for bit up to the sign of a zero, less the
+        # rows whose phasor (half the amplitude) lies below PRUNE_THRESHOLD;
+        # an overflowing amplitude is a usage error instead
+        k1, k2 = tones
+        reference = two_tone_third_order_terms(k1, k2, phi1, phi2, alpha)
+        if not all(np.isfinite([amp for _, amp, _ in reference])):
+            with pytest.raises(ConfigError, match="^--alpha: "):
+                expand_table(k1, k2, alpha, phi1, phi2)
+            return
+
+        def bits(rows):
+            # adding 0.0 turns -0.0 into 0.0 and changes no other float
+            return sorted((k, (amp + 0.0).hex(), (phase + 0.0).hex()) for k, amp, phase in rows)
+
+        kept = [row for row in reference if abs(row[1]) / 2 >= PRUNE_THRESHOLD]
+        lines, amplitudes, phases = expand_table(k1, k2, alpha, phi1, phi2)
+        assert lines == sorted(lines)
+        assert bits(zip(lines, amplitudes, phases)) == bits(kept)
+
+    @pytest.mark.parametrize("k1, k2", [(9, 11), (4, 8), (4, 12)])
+    def test_one_antenna_transmit_carries_the_table(self, k1, k2):
+        # the library path to the table: transmit on one antenna, keeping every line
+        phi1, phi2, alpha = 0.35, -1.1, 0.1
+        grid = FrequencyGrid(1.0, 3 * k2)
+        geometry = ArrayGeometry(1, 1.0)
+        assignment = steer_tones(grid, geometry, {k1: 0.0, k2: 0.0}, {k1: phi1, k2: phi2})
+        band = BandDefinition((k1, k2), 1, keep_window=(0, 3 * k2))
+        f = PolynomialNonlinearity.third_order(alpha)
+        (signal,) = transmit(assignment, f, band).per_antenna
+        lines, amplitudes, phases = map(np.array, expand_table(k1, k2, alpha, phi1, phi2))
+        phasors = amplitudes / np.where(lines == 0, 1.0, 2.0) * np.exp(1j * phases)
+        table = LineSpectrum.from_phasors(grid, lines, [phasors])
+        assert signal.allclose(table, rtol=1e-14, atol=1e-16)
 
 
 class TestBandDefinition:
