@@ -10,7 +10,7 @@ computes this exactly on an integer frequency grid and contrasts it with the
 independent-per-antenna distortion-noise model, which radiates flat.
 """
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 from .array import (
     ArrayGeometry,
@@ -26,12 +26,10 @@ from .array import (
     transmit,
 )
 from .baseline import (
-    ModelContrast,
     NoiseModelConfig,
     independent_noise_transmit,
     matched_noise_config,
     mean_pattern,
-    model_contrast_report,
     uniform_phase,
 )
 from .errors import (
@@ -77,7 +75,6 @@ __all__ = [
     "LineSpectrum",
     "MetricsReport",
     "MissingLineError",
-    "ModelContrast",
     "NoiseModelConfig",
     "Pattern",
     "PolynomialNonlinearity",
@@ -95,7 +92,6 @@ __all__ = [
     "independent_noise_transmit",
     "matched_noise_config",
     "mean_pattern",
-    "model_contrast_report",
     "pattern_sweep",
     "port_vs_ota_report",
     "sample_waveform",

@@ -372,7 +372,10 @@ class Pattern:
     of the global peak (a flat pattern: its argmax alone), so an aliased line
     reports all its coherent directions; ``peak_tau`` is the one nearest
     broadside, where ``peak_power`` and ``peak_gain``, the received-to-summed-
-    port power ratio (array gain at grid resolution), are taken.
+    port power ratio (array gain at grid resolution), are taken.  ``contrast``
+    is the peak over the mean power and ``flatness`` the standard deviation of
+    the powers over their mean: near 1 and 0 for a pattern flat in direction,
+    both 0 for an all-zero one.
     """
 
     freq_index: int
@@ -383,6 +386,7 @@ class Pattern:
     peak_gain: float
     mean_power: float
     contrast: float
+    flatness: float
     peak_taus: tuple[float, ...]
     multi_peaked: bool
 
@@ -441,6 +445,8 @@ def _build_pattern(
         peak_gain=peak_power / port_power_total if port_power_total > 0 else 0.0,
         mean_power=mean_power,
         contrast=peak_power / mean_power if mean_power > 0 else 0.0,
+        # the powers scaled by their mean first, so squaring cannot overflow
+        flatness=float(np.std(powers / mean_power)) if mean_power > 0 else 0.0,
         peak_taus=peak_taus,
         multi_peaked=len(peak_taus) > 1,
     )

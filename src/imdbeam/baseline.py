@@ -38,14 +38,11 @@ from .array import (
     _chirp_z,
     _sweep_grid,
 )
-from .errors import GridMismatchError
 from .spectra import TWO_PI, _I64_MAX, _I64_MIN, _is_whole, _line_factor
 
 # Trials per covariance chunk: caps a chunk's draws at TRIAL_CHUNK x M and
 # fixes the order of the sum.
 TRIAL_CHUNK = 1024
-
-DIRECTIVE_CONTRAST = 1.5
 
 PHASE_BITS = 16
 PHASE_STEP = TWO_PI * 2.0**-PHASE_BITS
@@ -264,63 +261,3 @@ def matched_noise_config(
             "a single matched noise power is ill-defined"
         )
     return NoiseModelConfig(tuple(line_indices), ref, trials, seed)
-
-
-@dataclass(frozen=True)
-class ModelContrast:
-    """Side-by-side directivity summary of two patterns on one sweep grid.
-
-    ``flatness`` is the standard deviation over the sweep divided by the
-    mean; a model is flagged directive when its peak-to-mean contrast
-    exceeds DIRECTIVE_CONTRAST.
-    """
-
-    freq_index: int
-    behavioral_peak_tau: float
-    baseline_peak_tau: float
-    peak_power_ratio: float | None
-    behavioral_contrast: float
-    baseline_contrast: float
-    behavioral_flatness: float
-    baseline_flatness: float
-    behavioral_directive: bool
-    baseline_directive: bool
-    note: str | None = None
-
-
-def _flatness(pattern: Pattern) -> float:
-    mean = float(np.mean(pattern.powers))
-    # std of the powers scaled by their mean first, so squaring cannot overflow
-    return float(np.std(pattern.powers / mean)) if mean > 0 else 0.0
-
-
-def model_contrast_report(behavioral: Pattern, baseline: Pattern) -> ModelContrast:
-    """Compare a behavioral-model pattern with a noise-model mean pattern
-    computed for the same line on the same sweep grid."""
-    if behavioral.freq_index != baseline.freq_index or not np.array_equal(
-        behavioral.taus, baseline.taus
-    ):
-        raise GridMismatchError(
-            "patterns were swept on different lines or delay grids"
-        )
-    # two all-zero patterns have contrast, flatness and ratio 0, 0 and None
-    # on this path as well; only the note tells them apart
-    empty = behavioral.peak_power == 0.0 and baseline.peak_power == 0.0
-    ratio = (
-        behavioral.peak_power / baseline.peak_power
-        if baseline.peak_power > 0.0
-        else None
-    )
-    return ModelContrast(
-        freq_index=behavioral.freq_index,
-        behavioral_peak_tau=behavioral.peak_tau,
-        baseline_peak_tau=baseline.peak_tau,
-        peak_power_ratio=ratio,
-        behavioral_contrast=behavioral.contrast,
-        baseline_contrast=baseline.contrast,
-        behavioral_flatness=_flatness(behavioral),
-        baseline_flatness=_flatness(baseline),
-        behavioral_directive=behavioral.contrast > DIRECTIVE_CONTRAST,
-        baseline_directive=baseline.contrast > DIRECTIVE_CONTRAST,
-        note="no distortion lines" if empty else None,
-    )

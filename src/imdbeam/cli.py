@@ -7,8 +7,8 @@ Subcommands:
               the independent-noise comparison.
 * ``expand``  mixing-order table of a unit two-tone through ``x + alpha*x**3``.
 * ``sweep``   pattern sweep of a single line.
-* ``compare`` behavioral vs independent-noise mean pattern for the
-              near-band products.
+* ``compare`` the report's ``baseline`` and ``patterns`` sections: the
+              independent-noise mean patterns next to the behavioral sweeps.
 
 All physical quantities in the config are SI (rad/s, seconds); grid indices
 are the only dimensionless inputs.  Identical (config, seed) pairs produce
@@ -43,12 +43,7 @@ from .array import (
     steer_tones,
     transmit,
 )
-from .baseline import (
-    ModelContrast,
-    matched_noise_config,
-    mean_pattern,
-    model_contrast_report,
-)
+from .baseline import matched_noise_config, mean_pattern
 from .errors import ConfigError, MissingLineError
 from .metrics import MetricsReport, port_vs_ota_report
 from .nonlinearity import BandDefinition, PolynomialNonlinearity
@@ -396,10 +391,6 @@ def _sha256(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def config_hash(cfg: ScenarioConfig) -> str:
-    return _sha256(config_to_jsonable(cfg))
-
-
 # --------------------------------------------------------------------------
 # scenario orchestration
 # --------------------------------------------------------------------------
@@ -422,7 +413,6 @@ class ReportBundle:
     directions: list[DirectionEntry]
     patterns: list[Pattern]
     baseline_patterns: list[Pattern]
-    contrasts: list[ModelContrast]
     baseline_line_power: float | None
     notes: list[str]
 
@@ -480,7 +470,6 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     ]
 
     baseline_patterns: list[Pattern] = []
-    contrasts: list[ModelContrast] = []
     baseline_line_power = None
     if cfg.baseline is not None:
         if not noise_lines:
@@ -491,15 +480,9 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
             desired = assignment.input_signal()
             ncfg = matched_noise_config(signal, noise_lines, cfg.baseline.trials, cfg.seed)
             baseline_line_power = ncfg.per_antenna_line_power
-            for k in noise_lines:
-                bp = mean_pattern(ncfg, desired, geometry, k, cfg.sweep_points)
-                baseline_patterns.append(bp)
-                if k in patterns:
-                    contrasts.append(model_contrast_report(patterns[k], bp))
-                else:
-                    notes.append(
-                        f"behavioral signal has no line {k}; contrast report skipped"
-                    )
+            baseline_patterns = [
+                mean_pattern(ncfg, desired, geometry, k, cfg.sweep_points) for k in noise_lines
+            ]
 
     return ReportBundle(
         config=cfg,
@@ -508,7 +491,6 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
         directions=direction_entries,
         patterns=list(patterns.values()),
         baseline_patterns=baseline_patterns,
-        contrasts=contrasts,
         baseline_line_power=baseline_line_power,
         notes=notes,
     )
@@ -557,26 +539,23 @@ def _pattern_csv_name(freq_index: int, baseline: bool = False) -> str:
     return f"pattern_{freq_index}_baseline.csv" if baseline else f"pattern_{freq_index}.csv"
 
 
-def _baseline_jsonable(bundle: ReportBundle) -> dict:
-    """The report's ``baseline`` section, which ``compare`` prints alone."""
-    return {
-        "trials": bundle.config.baseline.trials,
-        "seed": bundle.config.seed,
-        "line_indices": [p.freq_index for p in bundle.baseline_patterns],
-        "per_antenna_line_power": bundle.baseline_line_power,
-        "patterns": [
-            _pattern_jsonable(p, _pattern_csv_name(p.freq_index, baseline=True))
-            for p in bundle.baseline_patterns
-        ],
-        "contrast": bundle.contrasts,
-    }
-
-
 def bundle_to_jsonable(bundle: ReportBundle) -> dict:
     """Every section of ``report.json`` but ``ports``, which :func:`emit`
     writes as text (:func:`_ports_text`)."""
     cfg = bundle.config
     config = config_to_jsonable(cfg)
+    baseline = None
+    if cfg.baseline is not None:
+        baseline = {
+            "trials": cfg.baseline.trials,
+            "seed": cfg.seed,
+            "line_indices": [p.freq_index for p in bundle.baseline_patterns],
+            "per_antenna_line_power": bundle.baseline_line_power,
+            "patterns": [
+                _pattern_jsonable(p, _pattern_csv_name(p.freq_index, baseline=True))
+                for p in bundle.baseline_patterns
+            ],
+        }
     return {
         "provenance": {
             "config_sha256": _sha256(config),
@@ -595,7 +574,7 @@ def bundle_to_jsonable(bundle: ReportBundle) -> dict:
             _pattern_jsonable(p, _pattern_csv_name(p.freq_index)) for p in bundle.patterns
         ],
         "notes": bundle.notes,
-        "baseline": None if cfg.baseline is None else _baseline_jsonable(bundle),
+        "baseline": baseline,
         "config": config,
     }
 
@@ -752,7 +731,8 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args.config, args.seed, args.points)
     if cfg.baseline is None:
         raise ConfigError("baseline", "compare requires baseline settings in the config")
-    text = _dumps(_baseline_jsonable(_run_with_context(cfg)))
+    doc = bundle_to_jsonable(_run_with_context(cfg))
+    text = _dumps({"baseline": doc["baseline"], "patterns": doc["patterns"]})
     if args.out:
         _write(args.out, "compare.json", text + "\n")
     print(text)
@@ -801,7 +781,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(handler=_cmd_sweep)
 
     compare_p = sub.add_parser(
-        "compare", help="behavioral vs independent-noise mean pattern"
+        "compare", help="independent-noise mean patterns next to the behavioral sweeps"
     )
     _common(compare_p)
     compare_p.add_argument("--out", default=None, help="optional JSON output directory")

@@ -685,6 +685,29 @@ class TestPatternSweep:
             _build_pattern(9, taus, np.full(16, -1e-3), 1.0, 1e-9)
 
 
+class TestPatternSummaryScale:
+    """A pattern's summary of shape does not depend on the scale of its
+    powers: scaling by a power of two, exact in floating point, leaves it
+    bit-identical."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e100)), min_size=16, max_size=200),
+        st.integers(-100, 100),
+    )
+    @example([0.0] * 16, 7)
+    @example([0.25] * 16, -3)
+    def test_flatness_and_peaks_are_scale_free(self, values, j):
+        taus = np.linspace(-0.5, 0.5, len(values))
+        powers = np.array(values)
+        p = _build_pattern(9, taus, powers, 1.0, 1e-9)
+        mean = float(np.mean(powers))
+        assert p.flatness == (float(np.std(powers / mean)) if mean > 0 else 0.0)
+        scaled = _build_pattern(9, taus, powers * 2.0**j, 1.0, 1e-9)
+        for name in ("contrast", "flatness", "peak_tau", "peak_taus"):
+            assert getattr(scaled, name) == getattr(p, name), name
+
+
 # the constant C of pattern_sweep's stated error bound
 SWEEP_BOUND_C = 32
 

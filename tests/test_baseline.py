@@ -1,6 +1,6 @@
 """Independent-distortion-noise model: determinism, port-power matching,
-direction-flat mean patterns, and the contrast report against the
-behavioral model."""
+direction-flat mean patterns, and their contrast with the behavioral
+model's pattern of the same line."""
 
 import threading
 import warnings
@@ -15,13 +15,11 @@ from imdbeam import (
     ArraySignal,
     BandDefinition,
     FrequencyGrid,
-    GridMismatchError,
     NoiseModelConfig,
     PolynomialNonlinearity,
     independent_noise_transmit,
     matched_noise_config,
     mean_pattern,
-    model_contrast_report,
     pattern_sweep,
     steer_tones,
     transmit,
@@ -154,13 +152,6 @@ class TestMeanPattern:
         var_many = np.var(mean_pattern(many, desired, GEO, 13, 256).powers)
         assert var_many < var_few / 4  # 16x the trials
 
-    def test_concurrent_equals_sequential_bitwise(self):
-        _, desired = scenario()
-        cfg = NoiseModelConfig((13,), 0.0028125, 5000, 99)
-        first = mean_pattern(cfg, desired, GEO, 13, 512)
-        second = mean_pattern(cfg, desired, GEO, 13, 512)
-        assert np.array_equal(first.powers, second.powers)
-
     def test_workers_start_no_thread(self, monkeypatch):
         def refuse(thread):
             raise AssertionError("mean_pattern started a thread")
@@ -215,42 +206,25 @@ class TestMatchedNoiseConfig:
 
 
 class TestModelContrastReport:
+    """The two models' patterns of one line: the behavioral sweep is directive,
+    the matched noise model's mean pattern flat."""
+
     def test_behavioral_directive_baseline_not(self):
         behavioral, desired = scenario()
         cfg = matched_noise_config(behavioral, (13,), 10_000, 1234)
         bp = pattern_sweep(behavioral, 13, GEO, 1024)
         mp = mean_pattern(cfg, desired, GEO, 13, 1024)
-        report = model_contrast_report(bp, mp)
-        assert report.behavioral_directive and not report.baseline_directive
-        assert report.behavioral_contrast > 1.9
-        assert abs(report.baseline_contrast - 1.0) < 0.1
-        assert report.peak_power_ratio == pytest.approx(2.0, rel=0.05)
-        assert report.baseline_flatness < 0.05 < report.behavioral_flatness
-
-    def test_self_comparison_unit_ratio(self):
-        behavioral, _ = scenario()
-        bp = pattern_sweep(behavioral, 13, GEO, 256)
-        report = model_contrast_report(bp, bp)
-        assert report.peak_power_ratio == 1.0
-        assert report.behavioral_contrast == report.baseline_contrast
+        assert bp.contrast > 1.9
+        assert abs(mp.contrast - 1.0) < 0.1
+        assert bp.peak_power / mp.peak_power == pytest.approx(2.0, rel=0.05)
+        assert mp.flatness < 0.05 < bp.flatness
 
     def test_zero_distortion_marker(self):
         _, desired = scenario()
         cfg = NoiseModelConfig((13,), 0.0, 10, 1)
         mp = mean_pattern(cfg, desired, GEO, 13, 64)
-        report = model_contrast_report(mp, mp)
-        assert report.note == "no distortion lines"
-        assert report.peak_power_ratio is None
-        assert not report.behavioral_directive
-
-    def test_mismatched_sweeps_rejected(self):
-        behavioral, desired = scenario()
-        cfg = matched_noise_config(behavioral, (13, 7), 10, 1)
-        bp = pattern_sweep(behavioral, 13, GEO, 256)
-        with pytest.raises(GridMismatchError):
-            model_contrast_report(bp, mean_pattern(cfg, desired, GEO, 7, 256))
-        with pytest.raises(GridMismatchError):
-            model_contrast_report(bp, mean_pattern(cfg, desired, GEO, 13, 128))
+        assert mp.peak_power == 0.0
+        assert (mp.contrast, mp.flatness) == (0.0, 0.0)
 
 
 class TestUniformPhaseVectorised:

@@ -27,7 +27,6 @@ from imdbeam.cli import (
     _dumps,
     _ports_text,
     bundle_to_jsonable,
-    config_hash,
     config_to_jsonable,
     emit,
     main,
@@ -353,7 +352,8 @@ class TestParseConfig:
             cfg = parse(doc)
             again = parse_config(json.dumps(config_to_jsonable(cfg)))
             assert again == cfg
-            assert config_hash(again) == config_hash(cfg)
+            echo = config_to_jsonable(again)
+            assert canonical_sha256(echo) == canonical_sha256(config_to_jsonable(cfg))
 
     def test_readme_config_echo_and_hash_match_the_asdict_reference(self):
         cfg = parse(
@@ -367,12 +367,11 @@ class TestParseConfig:
             reference, sort_keys=True
         )
         assert report["provenance"]["config_sha256"] == canonical_sha256(reference)
-        assert config_hash(cfg) == canonical_sha256(reference)
 
     def test_hash_changes_with_config(self):
         a = parse(base_config())
         b = parse(base_config(seed=1))
-        assert config_hash(a) != config_hash(b)
+        assert canonical_sha256(config_to_jsonable(a)) != canonical_sha256(config_to_jsonable(b))
 
 
 @st.composite
@@ -460,7 +459,8 @@ class TestConfigProperties:
         cfg = parse(doc)
         again = parse_config(json.dumps(config_to_jsonable(cfg)))
         assert again == cfg
-        assert config_hash(again) == config_hash(cfg)
+        echo = config_to_jsonable(again)
+        assert canonical_sha256(echo) == canonical_sha256(config_to_jsonable(cfg))
 
     @settings(max_examples=100, deadline=None)
     @given(config_docs())
@@ -470,7 +470,6 @@ class TestConfigProperties:
         assert json.dumps(config_to_jsonable(cfg), sort_keys=True) == json.dumps(
             reference, sort_keys=True
         )
-        assert config_hash(cfg) == canonical_sha256(reference)
 
     @settings(max_examples=300, deadline=None)
     @given(config_docs(), st.data())
@@ -552,10 +551,9 @@ class TestRunScenario:
         cfg = parse(multi_user_config(baseline={"trials": 400}, seed=11))
         bundle = run_scenario(cfg)
         assert [p.freq_index for p in bundle.baseline_patterns] == [13, 7]
-        assert len(bundle.contrasts) == 2
-        for contrast in bundle.contrasts:
-            assert contrast.behavioral_directive
-            assert not contrast.baseline_directive
+        behavioral = {p.freq_index: p for p in bundle.patterns}
+        for bp in bundle.baseline_patterns:
+            assert behavioral[bp.freq_index].contrast > 1.5 > bp.contrast
         assert bundle.baseline_line_power == pytest.approx(0.075**2 / 2, rel=1e-9)
 
     def test_unfoldable_product_direction_is_noted(self):
@@ -581,18 +579,14 @@ class TestRunScenario:
         bundle = run_scenario(parse(off_plan_config()))
         indices = [p.freq_index for p in bundle.patterns]
         assert indices == [9, 11, 13, 7, 29, 31]
-        assert [c.freq_index for c in bundle.contrasts] == [29, 31]
-        assert all(c.freq_index in indices for c in bundle.contrasts)
+        assert [p.freq_index for p in bundle.baseline_patterns] == [29, 31]
         assert bundle.notes == []
 
     def test_absent_off_plan_baseline_line_is_noted(self):
         cfg = parse(multi_user_config(baseline={"trials": 10, "line_indices": [5]}))
         bundle = run_scenario(cfg)
-        assert bundle.notes == [
-            "line 5 absent after the transmit chain; sweep skipped",
-            "behavioral signal has no line 5; contrast report skipped",
-        ]
-        assert bundle.contrasts == []
+        assert bundle.notes == ["line 5 absent after the transmit chain; sweep skipped"]
+        assert [p.freq_index for p in bundle.baseline_patterns] == [5]
         assert bundle.baseline_line_power == 0.0
         assert [p.freq_index for p in bundle.patterns] == [9, 11, 13, 7]
 
@@ -732,8 +726,10 @@ class TestEmit:
         assert csv[0] == "tau_rx_seconds,power_linear"
         assert len(csv) == 129
         doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["provenance"]["config_sha256"] == config_hash(cfg)
-        assert doc["baseline"]["contrast"][0]["behavioral_directive"] is True
+        assert doc["provenance"]["config_sha256"] == canonical_sha256(config_to_jsonable(cfg))
+        behavioral = {p["freq_index"]: p for p in doc["patterns"]}
+        for bp in doc["baseline"]["patterns"]:
+            assert behavioral[bp["freq_index"]]["contrast"] > 1.5 > bp["contrast"]
 
     def test_negative_infinity_marker(self, tmp_path):
         cfg = parse(base_config(nonlinearity={"coefficients": [1.0]}, sweep_points=64))
@@ -1117,8 +1113,10 @@ class TestMain:
         out = tmp_path / "cmp"
         assert main(["compare", "--config", path, "--out", str(out)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["trials"] == 100
-        assert doc["contrast"][0]["behavioral_directive"] is True
+        assert doc.keys() == {"baseline", "patterns"}
+        assert doc["baseline"]["trials"] == 100
+        behavioral = {p["freq_index"]: p for p in doc["patterns"]}
+        assert behavioral[doc["baseline"]["line_indices"][0]]["contrast"] > 1.5
         assert (out / "compare.json").exists()
 
     def run_readme_config(self, tmp_path):
@@ -1132,7 +1130,8 @@ class TestMain:
         path, report = self.run_readme_config(tmp_path)
         out = tmp_path / "cmp"
         assert main(["compare", "--config", path, "--out", str(out)]) == 0
-        expected = json.dumps(report["baseline"], sort_keys=True) + "\n"
+        sections = {"baseline": report["baseline"], "patterns": report["patterns"]}
+        expected = json.dumps(sections, sort_keys=True) + "\n"
         assert (out / "compare.json").read_text() == expected
         assert capsys.readouterr().out.endswith(expected)
 
@@ -1245,6 +1244,7 @@ class TestScaleInvariance:
         for p, ref_p in zip(patterns, ref_patterns):
             self.assert_close(p["peak_gain"], ref_p["peak_gain"])
             self.assert_close(p["contrast"], ref_p["contrast"])
+            self.assert_close(p["flatness"], ref_p["flatness"])
             # a lobe between two grid points may report either or both of
             # them, as rounding decides; each must lie within a sweep step
             step = (ref_p["tau_stop"] - ref_p["tau_start"]) / (ref_p["points"] - 1)

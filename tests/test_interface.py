@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "LineSpectrum",
     "MetricsReport",
     "MissingLineError",
-    "ModelContrast",
     "NoiseModelConfig",
     "Pattern",
     "PolynomialNonlinearity",
@@ -73,7 +72,6 @@ PUBLIC_NAMES = [
     "independent_noise_transmit",
     "matched_noise_config",
     "mean_pattern",
-    "model_contrast_report",
     "pattern_sweep",
     "port_vs_ota_report",
     "sample_waveform",
@@ -87,25 +85,14 @@ PUBLIC_NAMES = [
 PATTERN_SUMMARY = {
     key: None
     for key in (
-        "contrast", "csv", "freq_index", "mean_power", "multi_peaked", "peak_gain",
-        "peak_power", "peak_tau", "points", "tau_start", "tau_stop",
+        "contrast", "csv", "flatness", "freq_index", "mean_power", "multi_peaked",
+        "peak_gain", "peak_power", "peak_tau", "points", "tau_start", "tau_stop",
     )
 } | {"peak_taus": [None]}
 METRICS = {"aclr_lower_db": None, "aclr_upper_db": None, "evm": None}
 PRODUCT = {"line_index": None, "modulus": None, "tau": None}
 REPORT_LAYOUT = {
     "baseline": {
-        "contrast": [
-            {
-                key: None
-                for key in (
-                    "baseline_contrast", "baseline_directive", "baseline_flatness",
-                    "baseline_peak_tau", "behavioral_contrast", "behavioral_directive",
-                    "behavioral_flatness", "behavioral_peak_tau", "freq_index", "note",
-                    "peak_power_ratio",
-                )
-            }
-        ],
         "line_indices": [None],
         "patterns": [PATTERN_SUMMARY],
         "per_antenna_line_power": None,
@@ -256,6 +243,8 @@ def test_report_and_compare_keys_in_string_order(tmp_path):
     for name in ("report.json", "compare.json"):
         text = (out / name).read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    compare = json.loads((out / "compare.json").read_text())
+    assert layout(compare) == {k: REPORT_LAYOUT[k] for k in ("baseline", "patterns")}
     directions = json.loads((out / "report.json").read_text())["directions"]
     assert all(set(d["array_gain_by_line"]) == {"7", "9", "11", "13"} for d in directions)
 
