@@ -47,7 +47,7 @@ from .baseline import matched_noise_config, mean_pattern
 from .errors import ConfigError, MissingLineError
 from .metrics import MetricsReport, port_vs_ota_report
 from .nonlinearity import BandDefinition, PolynomialNonlinearity
-from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid, _line_factor
+from .spectra import _I64_MAX, _I64_MIN, FrequencyGrid, _is_whole, _line_factor
 
 # Largest antennas x sweep points a run may ask for.  M * N <= 2**24 implies
 # M + N - 1 <= 2**24, so a sweep's FFTs are at most 2**24 long.  With a baseline
@@ -96,9 +96,7 @@ def _as_number(v, field: str) -> float:
 
 
 def _as_int(v, field: str, minimum: int | None = None) -> int:
-    if isinstance(v, bool) or not (
-        isinstance(v, int) or (isinstance(v, float) and float(v).is_integer())
-    ):
+    if not _is_whole(v):
         raise ConfigError(field, "must be an integer")
     n = int(v)
     if minimum is not None and n < minimum:

@@ -152,7 +152,7 @@ class TestMeanPattern:
         var_many = np.var(mean_pattern(many, desired, GEO, 13, 256).powers)
         assert var_many < var_few / 4  # 16x the trials
 
-    def test_workers_start_no_thread(self, monkeypatch):
+    def test_starts_no_thread_and_reruns_bitwise(self, monkeypatch):
         def refuse(thread):
             raise AssertionError("mean_pattern started a thread")
 
@@ -205,7 +205,7 @@ class TestMatchedNoiseConfig:
             matched_noise_config(behavioral, (), 100, 5)
 
 
-class TestModelContrastReport:
+class TestBehavioralAgainstBaselinePattern:
     """The two models' patterns of one line: the behavioral sweep is directive,
     the matched noise model's mean pattern flat."""
 
